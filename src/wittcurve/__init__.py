@@ -11,9 +11,6 @@ from .curve import (
     enumerate_classes,
     reduce_word,
     signed_discriminant_class,
-    wc_add,
-    wc_mul,
-    wc_neg,
 )
 from .fields import (
     FieldElement,
@@ -45,16 +42,14 @@ from .groupring import (
     GroupRingElement,
     RelationGenerator,
     all_elements,
-    gr_add,
-    gr_mul,
     ideal_closure,
     normal_form,
     relation_generators,
     verify_isomorphism,
 )
-from .pic2 import Pic2Group, PicElement, pic_mul
+from .pic2 import Pic2Group, PicElement
 from .verify import CheckResult, run_all
-from .wittk import WittK, from_concrete_form, verify_bullets, wk_add, wk_mul, wk_neg
+from .wittk import WittK, from_concrete_form, verify_bullets
 
 __version__ = "0.1.0"
 
@@ -80,8 +75,6 @@ __all__ = [
     "enumerate_classes",
     "find_isotropic_vector",
     "from_concrete_form",
-    "gr_add",
-    "gr_mul",
     "hyperbolic_plane",
     "ideal_closure",
     "is_square",
@@ -89,7 +82,6 @@ __all__ = [
     "minus_one_class",
     "normal_form",
     "orthogonal_sum",
-    "pic_mul",
     "reduce_word",
     "relation_generators",
     "run_all",
@@ -99,14 +91,8 @@ __all__ = [
     "tensor_product",
     "verify_bullets",
     "verify_isomorphism",
-    "wc_add",
-    "wc_mul",
-    "wc_neg",
     "witt_decompose",
     "witt_equal",
     "witt_invariants",
-    "wk_add",
-    "wk_mul",
-    "wk_neg",
     "__version__",
 ]

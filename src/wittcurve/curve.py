@@ -23,11 +23,18 @@ _ONE, _NS = SquareClass.ONE, SquareClass.NONSQUARE
 
 Parity = Literal["odd", "even"]
 
+_new = object.__new__
+
 
 class WittClass:
-    """A canonical Witt class: (parity, u, L) in a fixed context q mod 4."""
+    """A canonical Witt class: (parity, u, L) in a fixed context q mod 4.
 
-    __slots__ = ("parity", "u", "L", "context")
+    The class is packed into one int, code = odd | u_bit << 1 | L.code << 2,
+    kept beside the 2-torsion rank r, so the ring operations are bit
+    operations on codes; parity, u and L are read-only views of the code.
+    """
+
+    __slots__ = ("code", "r", "context")
 
     def __init__(self, parity: Parity, u: SquareClass, L: PicElement, context: int):
         if parity not in ("odd", "even"):
@@ -38,9 +45,8 @@ class WittClass:
             raise TypeError("L must be a PicElement")
         if context not in (1, 3):
             raise ValueError(f"context must be 1 or 3, got {context}")
-        self.parity = parity
-        self.u = u
-        self.L = L
+        self.code = (parity == "odd") | (u is _NS) << 1 | L.code << 2
+        self.r = L.rank
         self.context = context
 
     # constructors
@@ -63,38 +69,49 @@ class WittClass:
 
     @property
     def rank(self) -> int:
-        return self.L.rank
+        return self.r
+
+    @property
+    def parity(self) -> Parity:
+        return "odd" if self.code & 1 else "even"
+
+    @property
+    def u(self) -> SquareClass:
+        return _NS if self.code & 2 else _ONE
+
+    @property
+    def L(self) -> PicElement:
+        return PicElement(self.r, self.code >> 2)
 
     def is_zero(self) -> bool:
-        return self.parity == "even" and self.u is _ONE and self.L.is_identity()
+        return self.code == 0
 
     @property
     def sigma(self) -> SquareClass:
         return minus_one_class(self.context)
 
-    # ring structure
+    # ring structure: sigma enters only as a flip of the u bit when q = 3 mod 4
 
     def _compatible(self, other: "WittClass") -> None:
         if not isinstance(other, WittClass):
             raise TypeError(f"expected WittClass, got {type(other).__name__}")
         if self.context != other.context:
             raise ValueError(f"mixed contexts: {self.context} vs {other.context}")
-        if self.L.rank != other.L.rank:
-            raise ValueError(f"mixed group ranks: {self.L.rank} vs {other.L.rank}")
+        if self.r != other.r:
+            raise ValueError(f"mixed group ranks: {self.r} vs {other.r}")
 
     def __add__(self, other: "WittClass") -> "WittClass":
         self._compatible(other)
-        if self.parity == "odd" and other.parity == "odd":
-            return WittClass("even", self.sigma * self.u * other.u, self.L * other.L, self.context)
-        if self.parity == "odd":
-            return WittClass("odd", self.u * other.u, self.L * other.L, self.context)
-        if other.parity == "odd":
-            return WittClass("odd", other.u * self.u, other.L * self.L, self.context)
-        return WittClass("even", self.u * other.u, self.L * other.L, self.context)
+        a = self.code
+        b = other.code
+        code = a ^ b
+        if a & b & 1 and self.context == 3:
+            code ^= 2
+        return _of_code(code, self.r, self.context)
 
     def __neg__(self) -> "WittClass":
-        if self.parity == "odd":
-            return WittClass("odd", self.sigma * self.u, self.L, self.context)
+        if self.code & 1 and self.context == 3:
+            return _of_code(self.code ^ 2, self.r, self.context)
         return self
 
     def __sub__(self, other: "WittClass") -> "WittClass":
@@ -102,41 +119,42 @@ class WittClass:
 
     def __mul__(self, other: "WittClass") -> "WittClass":
         self._compatible(other)
-        if self.parity == "odd" and other.parity == "odd":
-            return WittClass("odd", self.u * other.u, self.L * other.L, self.context)
-        if self.parity == "odd":
+        a = self.code
+        b = other.code
+        if a & b & 1:
+            return _of_code((a ^ b) | 1, self.r, self.context)
+        if a & 1:
             return other  # odd units act trivially on the even ideal
-        if other.parity == "odd":
+        if b & 1:
             return self
-        return WittClass("even", _ONE, PicElement(self.L.rank, 0), self.context)
+        return _of_code(0, self.r, self.context)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WittClass):
             return NotImplemented
         return (
-            self.parity == other.parity
-            and self.u is other.u
-            and self.L == other.L
+            self.code == other.code
+            and self.r == other.r
             and self.context == other.context
         )
 
     def __hash__(self) -> int:
-        return hash((self.parity, self.u, self.L, self.context))
+        return hash((self.code, self.r, self.context))
 
     def __str__(self) -> str:
         # unit letter, then the bundle bits when nontrivial; bits alone would
         # collide with the unit letter at r = 1
-        tag = "1" if self.u is _ONE else "s"
-        if not self.L.is_identity():
+        tag = "s" if self.code & 2 else "1"
+        if self.code >> 2:
             tag = f"{tag}.{self.L}"
-        if self.parity == "odd":
+        if self.code & 1:
             return f"<{tag}>"
         if self.is_zero():
             return "0"
         return f"<1,-{tag}>"
 
     def __repr__(self) -> str:
-        return f"{self} (q = {self.context} mod 4, r = {self.L.rank})"
+        return f"{self} (q = {self.context} mod 4, r = {self.r})"
 
     # serialization
 
@@ -153,16 +171,13 @@ class WittClass:
         )
 
 
-def wc_add(a: WittClass, b: WittClass) -> WittClass:
-    return a + b
-
-
-def wc_mul(a: WittClass, b: WittClass) -> WittClass:
-    return a * b
-
-
-def wc_neg(a: WittClass) -> WittClass:
-    return -a
+def _of_code(code: int, r: int, context: int) -> WittClass:
+    # unchecked constructor, only for codes computed from validated classes
+    c = _new(WittClass)
+    c.code = code
+    c.r = r
+    c.context = context
+    return c
 
 
 def signed_discriminant_class(a: WittClass) -> tuple[SquareClass, PicElement]:
@@ -201,9 +216,14 @@ def reduce_word(
     word length mod 2 and whose line bundle part is the product of the
     letters' L components.
     """
-    acc = WittClass.zero(context, group)
+    code = WittClass.zero(context, group).code  # validates the context
     for u, L in word:
         if L.rank != group.r:
             raise ValueError(f"letter rank {L.rank} does not match group rank {group.r}")
-        acc = acc + WittClass.odd(u, L, context)
-    return acc
+        if not isinstance(u, SquareClass):
+            raise TypeError("u must be a SquareClass")
+        # add the odd letter <u>L: odd + odd flips the u bit when q = 3 mod 4
+        code ^= 1 | (u is _NS) << 1 | L.code << 2
+        if not code & 1 and context == 3:
+            code ^= 2
+    return _of_code(code, group.r, context)

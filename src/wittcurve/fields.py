@@ -209,7 +209,7 @@ class FiniteField:
     from independent make_field calls with the same arguments interoperate.
     """
 
-    __slots__ = ("p", "e", "q", "modulus", "_element_cache", "_tables", "_nonsquare")
+    __slots__ = ("p", "e", "q", "modulus", "_element_cache", "_tables", "_nonsquare", "_squares")
 
     def __init__(self, p: int, e: int, modulus: tuple[int, ...]):
         self.p = p
@@ -219,6 +219,8 @@ class FiniteField:
         self._element_cache: list[FieldElement] | None = None
         self._tables: tuple[np.ndarray, np.ndarray] | None = None
         self._nonsquare: FieldElement | None = None
+        # Euler-criterion answers by element index: 0 unknown, 1 square, 2 nonsquare
+        self._squares: bytearray | None = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteField):
@@ -359,10 +361,22 @@ def make_field(p: int, e: int = 1, *, max_cardinality: int = DEFAULT_CARDINALITY
 
 
 def is_square(x: FieldElement) -> bool:
-    """Euler criterion: x is a square iff x^((q-1)/2) = 1.  Rejects zero."""
+    """Euler criterion: x is a square iff x^((q-1)/2) = 1.  Rejects zero.
+
+    Each answer is memoized on the field by element index, so the power is
+    taken at most once per element; the memo is filled only on demand.
+    """
     if not x:
         raise ValueError("zero has no square class")
-    return x ** ((x.field.q - 1) // 2) == x.field.one
+    field = x.field
+    memo = field._squares
+    if memo is None:
+        memo = field._squares = bytearray(field.q)
+    i = x.coeffs[0] if field.e == 1 else x.index
+    known = memo[i]
+    if not known:
+        known = memo[i] = 1 if x ** ((field.q - 1) // 2) == field.one else 2
+    return known == 1
 
 
 def square_class(x: FieldElement) -> SquareClass:

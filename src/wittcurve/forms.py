@@ -17,7 +17,6 @@ scan within q^3 regardless of the rank of the input.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -29,7 +28,7 @@ from .fields import (
     FieldElement,
     FiniteField,
     SquareClass,
-    square_class,
+    is_square,
 )
 
 DEFAULT_MAX_SEARCH = 10**7
@@ -160,24 +159,23 @@ def _same_field(f, g) -> None:
         raise ValueError(f"forms over distinct fields: {f.field!r} vs {g.field!r}")
 
 
+def _discriminant(f: DiagonalForm, signed: bool) -> SquareClass:
+    # the determinant's class is the parity of the nonsquare entries; the
+    # sign (-1)^(n(n+1)/2) adds one more nonsquare exactly when q = 3 mod 4
+    odd = sum(1 for a in f.entries if not is_square(a)) & 1
+    n = f.rank
+    if signed and f.field.q % 4 == 3 and (n * (n + 1) // 2) % 2:
+        odd ^= 1
+    return SquareClass.NONSQUARE if odd else SquareClass.ONE
+
+
 def determinant_class(f: DiagonalForm) -> SquareClass:
-    prod = f.field.one
-    for a in f.entries:
-        prod = prod * a
-    return square_class(prod) if f.rank else SquareClass.ONE
+    return _discriminant(f, signed=False)
 
 
 def signed_discriminant(f: DiagonalForm) -> SquareClass:
     """Square class of (-1)^(n(n+1)/2) times the determinant."""
-    n = f.rank
-    if n == 0:
-        return SquareClass.ONE
-    prod = f.field.one
-    for a in f.entries:
-        prod = prod * a
-    if (n * (n + 1) // 2) % 2:
-        prod = -prod
-    return square_class(prod)
+    return _discriminant(f, signed=True)
 
 
 def witt_invariants(f: DiagonalForm) -> WittInvariants:
@@ -375,6 +373,10 @@ def witt_decompose(
     """
     field = f.field
     entries = list(f.entries)
+    # square-class bits beside the entries: -ab is a square exactly when the
+    # bits of a and b differ by the bit of -1
+    cls = [0 if is_square(a) else 1 for a in entries]
+    sigma = 1 if field.q % 4 == 3 else 0
     hyper = 0
     while True:
         # cancel pairs that already form hyperbolic planes, first pair in
@@ -384,8 +386,8 @@ def witt_decompose(
             cancelled = False
             for i in range(len(entries)):
                 for j in range(i + 1, len(entries)):
-                    if square_class(-(entries[i] * entries[j])) is SquareClass.ONE:
-                        del entries[j], entries[i]
+                    if cls[i] ^ cls[j] == sigma:
+                        del entries[j], entries[i], cls[j], cls[i]
                         hyper += 1
                         cancelled = True
                         break
@@ -395,6 +397,7 @@ def witt_decompose(
             break
         c = _split_leading_triple(field, entries, max_search)
         entries = [c] + entries[3:]
+        cls = [0 if is_square(c) else 1] + cls[3:]
         hyper += 1
     kernel = DiagonalForm(field, tuple(entries))
     assert 2 * hyper + kernel.rank == f.rank
@@ -412,43 +415,3 @@ def isometric_by_invariants(f: DiagonalForm, g: DiagonalForm) -> bool:
     """Isometry test by the classification over finite fields: rank and det class."""
     _same_field(f, g)
     return f.rank == g.rank and determinant_class(f) == determinant_class(g)
-
-
-def isometric_bruteforce(f: DiagonalForm, g: DiagonalForm) -> bool:
-    """Isometry by explicit change-of-basis search, for tiny instances.
-
-    For q <= 5 and rank <= 3 this searches basis images column by column,
-    pruning with the Gram conditions B(t_i, t_j) = g_ij; a full match is an
-    invertible T with TᵀfT = g since the target Gram is nondegenerate.
-    Larger instances fall back to rank comparison plus witt_equal, which
-    classifies isometry over finite fields by Witt cancellation.
-    """
-    _same_field(f, g)
-    if f.rank != g.rank:
-        return False
-    n = f.rank
-    field = f.field
-    if field.q > 5 or n > 3:
-        return witt_equal(f, g)
-    vectors = list(_all_vectors(field, n))
-
-    def extend(cols: list[tuple[FieldElement, ...]]) -> bool:
-        i = len(cols)
-        if i == n:
-            return True
-        for v in vectors:
-            if f.value(v) != g.entries[i]:
-                continue
-            if any(f.bilinear(v, c) != field.zero for c in cols):
-                continue
-            if extend(cols + [v]):
-                return True
-        return False
-
-    return extend([])
-
-
-def _all_vectors(field: FiniteField, n: int):
-    for tup in itertools.product(range(field.q), repeat=n):
-        if any(tup):
-            yield tuple(field.element_from_index(i) for i in tup)

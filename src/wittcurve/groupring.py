@@ -162,14 +162,6 @@ class GroupRingElement:
         return GroupRingElement(context, group, terms)
 
 
-def gr_add(f: GroupRingElement, g: GroupRingElement) -> GroupRingElement:
-    return f + g
-
-
-def gr_mul(f: GroupRingElement, g: GroupRingElement) -> GroupRingElement:
-    return f * g
-
-
 @dataclass(frozen=True)
 class RelationGenerator:
     """The datum (u, v, L, M) of the relation <1> - <u>L - <v>M + <uv>LM."""

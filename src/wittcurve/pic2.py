@@ -105,7 +105,3 @@ class Pic2Group:
 
     def __repr__(self) -> str:
         return f"Pic2Group(r={self.r})"
-
-
-def pic_mul(a: PicElement, b: PicElement) -> PicElement:
-    return a * b

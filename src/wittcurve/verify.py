@@ -14,12 +14,11 @@ import random
 from dataclasses import dataclass
 
 from .curve import WittClass, enumerate_classes, reduce_word, signed_discriminant_class
-from .fields import SquareClass, canonical_nonsquare, make_field, minus_one_class
+from .fields import SquareClass, canonical_nonsquare, make_field, minus_one_class, square_class
 from .forms import (
     DiagonalForm,
     find_isotropic_vector,
     orthogonal_sum,
-    square_class,
     witt_decompose,
     witt_equal,
     witt_invariants,

@@ -170,18 +170,6 @@ class WittK:
         return f"{self} in W(k), q = {self.context} mod 4"
 
 
-def wk_add(a: WittK, b: WittK) -> WittK:
-    return a + b
-
-
-def wk_mul(a: WittK, b: WittK) -> WittK:
-    return a * b
-
-
-def wk_neg(a: WittK) -> WittK:
-    return -a
-
-
 def from_concrete_form(f: DiagonalForm) -> WittK:
     """The W(k) class of a concrete nondegenerate diagonal form."""
     return WittK(f.rank % 2, signed_discriminant(f), residue_class_mod4(f.field))

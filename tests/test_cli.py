@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import wittcurve
 from wittcurve.cli import main
 from wittcurve.curve import WittClass, enumerate_classes
 from wittcurve.fields import SquareClass, make_field
@@ -217,3 +222,24 @@ def test_max_search_flag(capsys):
         capsys, "form-witt", "--q", "11", "--diag", "1,5,7,2,3,1,1,9", "--max-search", "10"
     )
     assert code == 2 and "search" in err.lower()
+
+
+def test_closed_stdout_exits_without_traceback():
+    # stdout is a pipe whose reader is already gone, as with `| head` once
+    # head has exited, so the first write fails without any timing race
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(wittcurve.__file__).parents[1]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "wittcurve.cli", "curve-table", "--q", "7", "--r", "3"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr
+    assert proc.stderr == b""

@@ -15,9 +15,6 @@ from wittcurve.curve import (
     enumerate_classes,
     reduce_word,
     signed_discriminant_class,
-    wc_add,
-    wc_mul,
-    wc_neg,
 )
 from wittcurve.fields import SquareClass, minus_one_class
 from wittcurve.pic2 import Pic2Group
@@ -53,9 +50,9 @@ def test_zero_and_one():
         assert zero == WittClass.even(ONE, g.identity, ctx)
         for c in enumerate_classes(ctx, g):
             assert c + zero == c
-            assert wc_add(zero, c) == c
+            assert zero + c == c
             assert one * c == c
-            assert wc_mul(c, one) == c
+            assert c * one == c
             assert zero * c == zero
 
 
@@ -106,7 +103,7 @@ def test_negation():
         assert -zero == zero
         for c in enumerate_classes(ctx, g):
             assert c + (-c) == zero
-            assert wc_neg(wc_neg(c)) == c
+            assert -(-c) == c
             assert c - c == zero
             if c.parity == "even":
                 assert -c == c
@@ -296,3 +293,108 @@ def test_json_roundtrip():
                 assert WittClass.from_json(data, ctx, g) == c
     data = WittClass.odd(NS, Pic2Group(2).element("01"), 1).to_json()
     assert data == {"parity": "odd", "u": "s", "L": "01"}
+
+
+# An independent model of the class arithmetic: a class is the triple
+# (parity bit, u bit, L code), and each operation is transcribed case by
+# case from the symbolic addition and multiplication tables of the curve
+# ring, with sigma the u bit of -1 (set exactly when q = 3 mod 4).
+
+
+def _model_add(a, b, ctx):
+    sigma = 1 if ctx == 3 else 0
+    (pa, ua, la), (pb, ub, lb) = a, b
+    if pa and pb:
+        return (0, sigma ^ ua ^ ub, la ^ lb)  # <u>L + <v>M = <1,-sigma uv>LM
+    if pa or pb:
+        return (1, ua ^ ub, la ^ lb)  # the odd class absorbs the even one
+    return (0, ua ^ ub, la ^ lb)
+
+
+def _model_neg(a, ctx):
+    sigma = 1 if ctx == 3 else 0
+    p, u, l = a
+    return (1, sigma ^ u, l) if p else a
+
+
+def _model_mul(a, b):
+    (pa, ua, la), (pb, ub, lb) = a, b
+    if pa and pb:
+        return (1, ua ^ ub, la ^ lb)
+    if pa:
+        return b
+    if pb:
+        return a
+    return (0, 0, 0)
+
+
+def _model_str(a, r):
+    p, u, l = a
+    tag = "s" if u else "1"
+    if l:
+        tag = f"{tag}.{l:0{r}b}"
+    if p:
+        return f"<{tag}>"
+    return "0" if (u, l) == (0, 0) else f"<1,-{tag}>"
+
+
+def _model_json(a, r):
+    p, u, l = a
+    return {"parity": "odd" if p else "even", "u": "s" if u else "1", "L": f"{l:0{r}b}" if r else ""}
+
+
+def _from_model(a, ctx, g):
+    p, u, l = a
+    return WittClass("odd" if p else "even", NS if u else ONE, g.element(l), ctx)
+
+
+def _check_against_model(a, b, ctx, g):
+    x, y = _from_model(a, ctx, g), _from_model(b, ctx, g)
+    results = [
+        (x + y, _model_add(a, b, ctx)),
+        (x * y, _model_mul(a, b)),
+        (-x, _model_neg(a, ctx)),
+        (x - y, _model_add(a, _model_neg(b, ctx), ctx)),
+    ]
+    for got, want in results:
+        assert got == _from_model(want, ctx, g)
+        assert hash(got) == hash(_from_model(want, ctx, g))
+        assert str(got) == _model_str(want, g.r)
+        assert got.to_json() == _model_json(want, g.r)
+    assert (x == y) == (a == b)
+
+
+def test_packed_classes_match_model_exhaustive_small_rank():
+    for ctx in (1, 3):
+        for r in (0, 1, 2):
+            g = Pic2Group(r)
+            models = [(p, u, l) for p in (0, 1) for u in (0, 1) for l in range(g.n)]
+            assert len({_from_model(a, ctx, g) for a in models}) == len(models)
+            for a, b in itertools.product(models, repeat=2):
+                _check_against_model(a, b, ctx, g)
+
+
+def test_packed_classes_match_model_seeded_rank_16():
+    rng = random.Random(1616)
+    g = Pic2Group(16)
+    for ctx in (1, 3):
+        for _ in range(20000):
+            a, b, c = ((rng.randrange(2), rng.randrange(2), rng.randrange(g.n)) for _ in range(3))
+            _check_against_model(a, b, ctx, g)
+            x, y, z = (_from_model(t, ctx, g) for t in (a, b, c))
+            assert (x + y) * z == _from_model(_model_mul(_model_add(a, b, ctx), c), ctx, g)
+
+
+def test_packed_fields_roundtrip_rank_20():
+    rng = random.Random(2020)
+    g = Pic2Group(20)
+    codes = [0, 1, g.n - 1] + [rng.randrange(g.n) for _ in range(200)]
+    for ctx in (1, 3):
+        for l in codes:
+            for parity in ("odd", "even"):
+                for u in (ONE, NS):
+                    c = WittClass(parity, u, g.element(l), ctx)
+                    assert c.parity == parity
+                    assert c.u is u
+                    assert c.L == g.element(l) and c.L.rank == 20
+                    assert c.rank == 20 and c.context == ctx

@@ -186,6 +186,24 @@ def test_squares_by_exhaustive_enumeration():
         is_square(make_field(7).zero)
 
 
+def test_is_square_memo_independent_of_query_order():
+    # each order runs on a fresh field object, so its memo starts empty; a
+    # memo keyed by the constant coefficient alone would let the first
+    # element queried decide for every element sharing that coefficient
+    rng = random.Random(5)
+    for p, e in [(3, 2), (5, 2), (3, 3)]:
+        modulus = make_field(p, e).modulus
+        reference = FiniteField(p, e, modulus)
+        squares = {x * x for x in reference.nonzero_elements()}
+        indices = list(range(1, reference.q))
+        orders = [indices, indices[::-1]] + [rng.sample(indices, len(indices)) for _ in range(3)]
+        for order in orders:
+            field = FiniteField(p, e, modulus)
+            for i in order:
+                x = field.element_from_index(i)
+                assert is_square(x) == (x in squares), (field, i)
+
+
 def test_squares_against_sympy_prime_fields():
     for p in [3, 5, 7, 11, 13, 17, 19, 23]:
         f = make_field(p)

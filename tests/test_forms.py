@@ -18,13 +18,13 @@ from wittcurve.forms import (
     DiagonalForm,
     GramForm,
     WittInvariants,
+    _split_leading_triple,
     determinant_class,
     diagonalize,
     diagonalize_with_basis,
     find_isotropic_vector,
     hyperbolic_plane,
     isometric_by_invariants,
-    isometric_bruteforce,
     orthogonal_sum,
     signed_discriminant,
     tensor_product,
@@ -293,6 +293,77 @@ def test_witt_decompose_structure_randomized():
             assert witt_invariants(rebuilt) == witt_invariants(form)
 
 
+def _product_rule_reference(form, squares):
+    """(signed disc, det class, hyper, kernel entries) by entry products.
+
+    The square-class rules as first written: classes of explicit products,
+    looked up in the square set {x*x}, and the first pair <a, b> in
+    row-major order with -ab a square cancelled each round.
+    """
+    field = form.field
+
+    def cls(x):
+        return ONE if x in squares else NS
+
+    n = form.rank
+    det = field.one
+    for a in form.entries:
+        det = det * a
+    det_class = cls(det)
+    signed = cls(-det if (n * (n + 1) // 2) % 2 else det) if n else ONE
+    entries = list(form.entries)
+    hyper = 0
+    while True:
+        pair = next(
+            (
+                (i, j)
+                for i in range(len(entries))
+                for j in range(i + 1, len(entries))
+                if -(entries[i] * entries[j]) in squares
+            ),
+            None,
+        )
+        if pair is not None:
+            del entries[pair[1]], entries[pair[0]]
+            hyper += 1
+            continue
+        if len(entries) < 3:
+            break
+        entries = [_split_leading_triple(field, entries, DEFAULT_MAX_SEARCH)] + entries[3:]
+        hyper += 1
+    return signed, det_class, hyper, tuple(entries)
+
+
+def _assert_matches_product_rules(form, squares):
+    signed, det_class, hyper, kernel_entries = _product_rule_reference(form, squares)
+    assert signed_discriminant(form) is signed, form
+    assert determinant_class(form) is det_class, form
+    h, kernel = witt_decompose(form)
+    assert (h, kernel.entries) == (hyper, kernel_entries), form
+
+
+def test_class_bits_match_product_rules_exhaustive_small_rank():
+    for p, e in [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1)]:
+        field = make_field(p, e)
+        squares = {x * x for x in field.nonzero_elements()}
+        nonzero = list(field.nonzero_elements())
+        for n in range(4):
+            for tup in itertools.product(nonzero, repeat=n):
+                _assert_matches_product_rules(DiagonalForm(field, tup), squares)
+
+
+def test_class_bits_match_product_rules_seeded_large_rank():
+    rng = random.Random(1913)
+    for p, e in [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)]:
+        field = make_field(p, e)
+        squares = {x * x for x in field.nonzero_elements()}
+        nonzero = list(field.nonzero_elements())
+        for _ in range(2000):
+            n = rng.randrange(4, 9)
+            form = DiagonalForm(field, tuple(rng.choice(nonzero) for _ in range(n)))
+            _assert_matches_product_rules(form, squares)
+
+
 def test_witt_equal_basic():
     f5, f7 = make_field(5), make_field(7)
     form = df(f7, 1, 3, 2)
@@ -338,6 +409,46 @@ def test_isometric_by_invariants():
     assert not isometric_by_invariants(df(f5, 1), df(f5, 2))
     form = df(f5, 1, 2)
     assert not isometric_by_invariants(form, orthogonal_sum(form, df(f5, 1)))
+
+
+def isometric_bruteforce(f, g):
+    """Isometry by explicit change-of-basis search, for tiny instances.
+
+    For q <= 5 and rank <= 3 this searches basis images column by column,
+    pruning with the Gram conditions B(t_i, t_j) = g_ij; a full match is an
+    invertible T with TᵀfT = g since the target Gram is nondegenerate.
+    Larger instances fall back to rank comparison plus witt_equal, which
+    classifies isometry over finite fields by Witt cancellation.
+    """
+    assert f.field == g.field
+    if f.rank != g.rank:
+        return False
+    n = f.rank
+    field = f.field
+    if field.q > 5 or n > 3:
+        return witt_equal(f, g)
+    vectors = list(_all_vectors(field, n))
+
+    def extend(cols):
+        i = len(cols)
+        if i == n:
+            return True
+        for v in vectors:
+            if f.value(v) != g.entries[i]:
+                continue
+            if any(f.bilinear(v, c) != field.zero for c in cols):
+                continue
+            if extend(cols + [v]):
+                return True
+        return False
+
+    return extend([])
+
+
+def _all_vectors(field, n):
+    for tup in itertools.product(range(field.q), repeat=n):
+        if any(tup):
+            yield tuple(field.element_from_index(i) for i in tup)
 
 
 def test_isometric_bruteforce_agrees_exhaustively():
