@@ -18,15 +18,11 @@ from enum import Enum
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-import numpy as np
-
 DEFAULT_CARDINALITY_BOUND = 1 << 20
 
-# Largest q for which dense addition/multiplication tables are materialized.
-# Above this, scans fall back to pure-Python element arithmetic.
+# Largest q whose elements are cached as objects once elements() is called;
+# larger fields build each element on demand.
 TABLE_LIMIT = 4096
-
-_TABLE_CHUNK = 256
 
 
 class SquareClass(Enum):
@@ -209,7 +205,7 @@ class FiniteField:
     from independent make_field calls with the same arguments interoperate.
     """
 
-    __slots__ = ("p", "e", "q", "modulus", "_element_cache", "_tables", "_nonsquare", "_squares")
+    __slots__ = ("p", "e", "q", "modulus", "_element_cache", "_nonsquare", "_squares", "_roots")
 
     def __init__(self, p: int, e: int, modulus: tuple[int, ...]):
         self.p = p
@@ -217,10 +213,11 @@ class FiniteField:
         self.q = p**e
         self.modulus = modulus
         self._element_cache: list[FieldElement] | None = None
-        self._tables: tuple[np.ndarray, np.ndarray] | None = None
         self._nonsquare: FieldElement | None = None
         # Euler-criterion answers by element index: 0 unknown, 1 square, 2 nonsquare
         self._squares: bytearray | None = None
+        # square roots by element index, filled on demand
+        self._roots: dict[int, FieldElement] = {}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteField):
@@ -279,54 +276,6 @@ class FiniteField:
         next(it)
         return it
 
-    def op_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dense (add, mul) tables on element indices, for the scan kernels.
-
-        Entry [i, j] is the index of the sum/product of elements i and j.
-        Only available for q <= TABLE_LIMIT.
-        """
-        if self._tables is None:
-            if self.q > TABLE_LIMIT:
-                raise ValueError(f"op tables unavailable: q = {self.q} exceeds {TABLE_LIMIT}")
-            self._tables = _build_tables(self)
-        return self._tables
-
-
-def _build_tables(field: FiniteField) -> tuple[np.ndarray, np.ndarray]:
-    p, e, q = field.p, field.e, field.q
-    if e == 1:
-        a = np.arange(q, dtype=np.int64)
-        add = (a[:, None] + a[None, :]) % p
-        mul = (a[:, None] * a[None, :]) % p
-        return add.astype(np.int16), mul.astype(np.int16)
-
-    digit = np.empty((q, e), dtype=np.int64)
-    t = np.arange(q, dtype=np.int64)
-    for i in range(e):
-        digit[:, i] = t % p
-        t //= p
-
-    # x^k mod modulus as coefficient vectors, for k < 2e-1
-    red = np.zeros((2 * e - 1, e), dtype=np.int64)
-    for k in range(2 * e - 1):
-        rem = _poly_rem([0] * k + [1], field.modulus, p)
-        red[k, : len(rem)] = rem
-
-    powers = p ** np.arange(e, dtype=np.int64)
-    add = np.empty((q, q), dtype=np.int16)
-    mul = np.empty((q, q), dtype=np.int16)
-    for start in range(0, q, _TABLE_CHUNK):
-        rows = slice(start, min(start + _TABLE_CHUNK, q))
-        add_digits = (digit[rows, None, :] + digit[None, :, :]) % p
-        add[rows] = add_digits @ powers
-
-        conv = np.zeros((rows.stop - rows.start, q, 2 * e - 1), dtype=np.int64)
-        for i in range(e):
-            for j in range(e):
-                conv[:, :, i + j] += digit[rows, i][:, None] * digit[None, :, j]
-        mul[rows] = ((conv @ red) % p) @ powers
-    return add, mul
-
 
 @lru_cache(maxsize=None)
 def _make_field_cached(p: int, e: int) -> FiniteField:
@@ -377,6 +326,60 @@ def is_square(x: FieldElement) -> bool:
     if not known:
         known = memo[i] = 1 if x ** ((field.q - 1) // 2) == field.one else 2
     return known == 1
+
+
+def square_root(x: FieldElement) -> FieldElement:
+    """The square root of x with the smaller element index; zero for zero.
+
+    Computed as x^((q+1)/4) when q = 3 mod 4 and by Tonelli-Shanks with the
+    canonical non-square otherwise.  Raises ValueError when x is not a
+    square.  Roots are memoized on the field by element index, filled only
+    on demand.
+    """
+    if not x:
+        return x
+    field = x.field
+    i = x.coeffs[0] if field.e == 1 else x.index
+    root = field._roots.get(i)
+    if root is None:
+        if not is_square(x):
+            raise ValueError(f"{x} is not a square in {field!r}")
+        root = _some_root(x)
+        neg = -root
+        if neg.index < root.index:
+            root = neg
+        field._roots[i] = root
+    return root
+
+
+def _some_root(x: FieldElement) -> FieldElement:
+    # one of the two roots of a nonzero square x
+    field = x.field
+    q = field.q
+    if q % 4 == 3:
+        return x ** ((q + 1) // 4)
+    # Tonelli-Shanks with q - 1 = odd * 2^s; the loop keeps r^2 = x t, with t
+    # of order 2^i for shrinking i, and c of order 2^s
+    odd, s = q - 1, 0
+    while not odd & 1:
+        odd >>= 1
+        s += 1
+    one = field.one
+    c = canonical_nonsquare(field) ** odd
+    t = x**odd
+    r = x ** ((odd + 1) // 2)
+    while t != one:
+        i, t2 = 1, t * t
+        while t2 != one:
+            t2 = t2 * t2
+            i += 1
+        b = c
+        for _ in range(s - i - 1):
+            b = b * b
+        s, c = i, b * b
+        t = t * c
+        r = r * b
+    return r
 
 
 def square_class(x: FieldElement) -> SquareClass:

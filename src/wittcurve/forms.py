@@ -7,12 +7,12 @@ bridges the two with a deterministic congruence reduction and reports the
 radical dimension when the input is degenerate.
 
 Witt decomposition peels hyperbolic planes off a diagonal form until the
-anisotropic kernel remains (rank <= 2 over a finite field).  Rather than
-scanning the full q^n space for an isotropic vector at every step, the
-splitter first cancels any entry pair <a, b> with -ab a square (such a pair
-is already a hyperbolic plane), and only then scans the leading rank-3
-subform, which is always isotropic over a finite field.  This keeps every
-scan within q^3 regardless of the rank of the input.
+anisotropic kernel remains (rank <= 2 over a finite field).  The splitter
+first cancels any entry pair <a, b> with -ab a square (such a pair is
+already a hyperbolic plane), and only then scans the leading rank-3 subform,
+which is always isotropic over a finite field.  The isotropy scan solves
+its last coordinate from a square test and a square root instead of trying
+every value, so any scan makes at most q + 1 square tests.
 """
 
 from __future__ import annotations
@@ -20,15 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
-from . import _kernels
 from .fields import (
-    TABLE_LIMIT,
     FieldElement,
     FiniteField,
     SquareClass,
     is_square,
+    square_root,
 )
 
 DEFAULT_MAX_SEARCH = 10**7
@@ -103,7 +100,7 @@ class DiagonalForm:
         return len(self.entries)
 
     def negate(self) -> "DiagonalForm":
-        return DiagonalForm(self.field, tuple(-a for a in self.entries))
+        return _diagonal(self.field, tuple(-a for a in self.entries))
 
     def bilinear(self, v: Sequence[FieldElement], w: Sequence[FieldElement]) -> FieldElement:
         total = self.field.zero
@@ -132,6 +129,15 @@ class DiagonalForm:
         return f"<{','.join(str(a) for a in self.entries)}> over {self.field!r}"
 
 
+def _diagonal(field: FiniteField, entries: tuple[FieldElement, ...]) -> DiagonalForm:
+    # unchecked constructor, only for nonzero entries of `field` taken or
+    # computed from validated forms
+    f = object.__new__(DiagonalForm)
+    f.field = field
+    f.entries = entries
+    return f
+
+
 @dataclass(frozen=True)
 class WittInvariants:
     """The complete pair of Witt-class invariants over a finite field."""
@@ -142,12 +148,12 @@ class WittInvariants:
 
 def orthogonal_sum(f: DiagonalForm, g: DiagonalForm) -> DiagonalForm:
     _same_field(f, g)
-    return DiagonalForm(f.field, f.entries + g.entries)
+    return _diagonal(f.field, f.entries + g.entries)
 
 
 def tensor_product(f: DiagonalForm, g: DiagonalForm) -> DiagonalForm:
     _same_field(f, g)
-    return DiagonalForm(f.field, tuple(a * b for a in f.entries for b in g.entries))
+    return _diagonal(f.field, tuple(a * b for a in f.entries for b in g.entries))
 
 
 def hyperbolic_plane(field: FiniteField) -> DiagonalForm:
@@ -246,63 +252,48 @@ def find_isotropic_vector(
     One representative per projective point is visited: vectors grouped by the
     position of their first nonzero coordinate (from last position to first),
     that coordinate normalized to 1, later coordinates in ascending
-    lexicographic order.  Scans with q^rank beyond max_search are rejected.
+    lexicographic order.  The last coordinate is solved for, not scanned:
+    each prefix needs x^2 = t with t = -(a_lead + sum a_i x_i^2) / a_last, so x
+    is 0 when t = 0, the square root of t with the smaller index when t is a
+    square, and otherwise the prefix has no isotropic vector.
+
+    max_search bounds the 1-based position of the answer in that order, or
+    the size of the whole projective space when there is no answer; a search
+    that would pass it raises ValueError.
     """
     field = f.field
-    n = f.rank
-    if field.q**n > max_search:
-        raise ValueError(f"scan size {field.q}^{n} exceeds max_search = {max_search}")
-    if n == 0:
-        return None
-    if field.q <= TABLE_LIMIT:
-        add, mul = field.op_tables()
-        codes = np.array([a.index for a in f.entries], dtype=np.int64)
-        hit = _kernels.first_isotropic(codes, add, mul)
-        if hit is None:
-            return None
-        v = tuple(field.element_from_index(int(i)) for i in hit)
-    else:
-        v = _scan_python(f)
-        if v is None:
-            return None
-    assert f.value(v) == field.zero
-    return v
+    q = field.q
+    entries = f.entries
+    n = len(entries)
+    zero = field.zero
 
+    def check_within(position: int) -> None:
+        if position > max_search:
+            raise ValueError(f"isotropic search passes max_search = {max_search} vectors in scan order")
 
-def _scan_python(f: DiagonalForm) -> Optional[tuple[FieldElement, ...]]:
-    # mirrors the kernel enumeration exactly, for fields too large to table
-    field = f.field
-    n = f.rank
-    elems = None if field.q > TABLE_LIMIT else list(field.elements())
-
-    def elem(i: int) -> FieldElement:
-        return elems[i] if elems is not None else field.element_from_index(i)
-
-    for lead in range(n - 1, -1, -1):
-        m = n - 1 - lead
-        tail_entries = f.entries[lead + 1 :]
-        base = f.entries[lead]
-        digits = [0] * m
-        while True:
-            total = base
-            for a, d in zip(tail_entries, digits):
-                x = elem(d)
+    scanned = min(n, 1)  # vectors ahead of the current prefix; e_{n-1} is first and not isotropic
+    scale = -entries[-1].inverse() if n > 1 else None
+    # leads n-2 and n-3 cover the subforms on the last two and three
+    # coordinates; a rank-3 form over a finite field is isotropic, so the scan
+    # never passes lead n-3 and has at most one middle coordinate
+    for lead in range(n - 2, max(n - 4, -1), -1):
+        middle = entries[lead + 1 : -1]
+        for d in range(q ** len(middle)):
+            check_within(scanned + 1)
+            xs = (field.element_from_index(d),) if middle else ()
+            total = entries[lead]
+            for a, x in zip(middle, xs):
                 total = total + a * x * x
-            if not total:
-                v = [field.zero] * n
-                v[lead] = field.one
-                for i, d in enumerate(digits):
-                    v[lead + 1 + i] = elem(d)
-                return tuple(v)
-            k = m - 1
-            while k >= 0:
-                digits[k] += 1
-                if digits[k] < field.q:
-                    break
-                digits[k] = 0
-                k -= 1
-            if k < 0:
-                break
+            t = total * scale
+            if not t or is_square(t):
+                x = square_root(t)
+                check_within(scanned + x.index + 1)
+                v = (zero,) * lead + (field.one, *xs, x)
+                assert f.value(v) == zero
+                return v
+            scanned += q
+    assert n < 3, "forms of rank >= 3 over a finite field are isotropic"
+    check_within(scanned)
     return None
 
 
@@ -346,7 +337,7 @@ def _split_leading_triple(
     and the orthogonal complement of the pair inside the subform carries the
     residual entry.
     """
-    sub = DiagonalForm(field, tuple(entries[:3]))
+    sub = _diagonal(field, tuple(entries[:3]))
     v = find_isotropic_vector(sub, max_search)
     assert v is not None, "rank-3 forms over finite fields are isotropic"
     i0 = next(i for i in range(3) if v[i])
@@ -399,7 +390,7 @@ def witt_decompose(
         entries = [c] + entries[3:]
         cls = [0 if is_square(c) else 1] + cls[3:]
         hyper += 1
-    kernel = DiagonalForm(field, tuple(entries))
+    kernel = _diagonal(field, tuple(entries))
     assert 2 * hyper + kernel.rank == f.rank
     return hyper, kernel
 

@@ -12,20 +12,24 @@ arithmetic answer that the oracle certifies.
 
 Elements are encoded for the closure as one base-4 digit per group slot
 (rank parity plus discriminant bit), so the additive closure runs as
-table lookups over small numpy arrays.
+table lookups over small numpy arrays.  Only this brute-force certification
+uses numpy, so it is imported inside the functions that run it: importing
+the package, and with it every CLI run that does not certify, stays free of
+numpy's import cost.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .curve import WittClass, reduce_word
 from .fields import SquareClass
 from .pic2 import Pic2Group, PicElement
 from .wittk import WittK
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _ONE, _NS = SquareClass.ONE, SquareClass.NONSQUARE
 
@@ -213,6 +217,8 @@ def relation_generators(context: int, group: Pic2Group) -> list[GroupRingElement
 
 def _code_tables(context: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[WittK]]:
     """(add, mul, neg) tables over the 4 coefficient codes, plus code -> WittK."""
+    import numpy as np
+
     by_code = [None] * 4
     for w in WittK.elements(context):
         code = w.rank_parity + (2 if w.disc is _NS else 0)
@@ -232,14 +238,14 @@ def _code_tables(context: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list
     return add, mul, neg, by_code
 
 
-def _encode(f: GroupRingElement) -> np.ndarray:
-    out = np.zeros(f.group.n, dtype=np.uint8)
+def _encode(f: GroupRingElement) -> list[int]:
+    out = [0] * f.group.n
     for L, c in f._coeffs.items():
         out[L.code] = c.rank_parity + (2 if c.disc is _NS else 0)
     return out
 
 
-def _decode(codes: np.ndarray, context: int, group: Pic2Group, by_code: list[WittK]) -> GroupRingElement:
+def _decode(codes: Iterable[int], context: int, group: Pic2Group, by_code: list[WittK]) -> GroupRingElement:
     terms = [
         (PicElement(group.r, slot), by_code[int(code)])
         for slot, code in enumerate(codes)
@@ -261,6 +267,8 @@ def ideal_closure(
     """
     if group.r > CLOSURE_RANK_BOUND:
         raise ValueError(f"ideal closure needs r <= {CLOSURE_RANK_BOUND}, got {group.r}")
+    import numpy as np
+
     gens = list(gens)
     for g in gens:
         if g.context != context or g.group != group:
@@ -321,7 +329,7 @@ def all_elements(context: int, group: Pic2Group) -> list[GroupRingElement]:
         for _ in range(group.n):
             codes.append(x & 3)
             x >>= 2
-        out.append(_decode(np.array(codes, dtype=np.uint8), context, group, by_code))
+        out.append(_decode(codes, context, group, by_code))
     return out
 
 
@@ -337,6 +345,8 @@ def verify_isomorphism(context: int, group: Pic2Group) -> list[tuple[str, bool, 
 
     if group.r > CLOSURE_RANK_BOUND:
         raise ValueError(f"verification needs r <= {CLOSURE_RANK_BOUND}, got {group.r}")
+    import numpy as np
+
     report = []
     gens = relation_generators(context, group)
     zero_class = WittClass.zero(context, group)
@@ -390,7 +400,7 @@ def verify_isomorphism(context: int, group: Pic2Group) -> list[tuple[str, bool, 
         i, j = np.argwhere(matrix)[0]
         return f"counterexample: f = {elements[i]}, g = {elements[j]}"
 
-    ideal_keys = np.sort(np.array([int(_encode(x) @ weights) for x in ideal], dtype=np.int64))
+    ideal_keys = np.sort(np.array([_encode(x) for x in ideal], dtype=np.int64) @ weights)
     diff_codes = add_t[enc[:, None, :], neg_t[enc][None, :, :]]
     diff_keys = diff_codes.astype(np.int64) @ weights
     in_ideal = np.isin(diff_keys, ideal_keys)

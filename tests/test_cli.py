@@ -217,6 +217,30 @@ def test_verify_reporting(monkeypatch, capsys):
     assert data["results"][0]["name"] == "alpha"
 
 
+def test_form_witt_fields_beyond_dense_scan(capsys):
+    # q^3 > 10^7 for each q, yet the rank-3 split visits only a few prefixes
+    for q in ["227", "1019", "4099"]:
+        code, data, _ = run_json(capsys, "form-witt", "--q", q, "--diag", "1,1,1")
+        assert code == 0
+        assert data["hyperbolic_count"] == 1
+
+
+def test_cold_start_does_not_import_numpy():
+    # numpy serves only the group-ring certification, so CLI runs outside
+    # `verify` must not pay for importing it
+    script = (
+        "import sys\n"
+        "from wittcurve.cli import main\n"
+        "assert main(['form-witt', '--q', '3001', '--diag', '1,2']) == 0\n"
+        "assert main(['field-info', '--q', '7']) == 0\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(wittcurve.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_max_search_flag(capsys):
     code, _, err = run(
         capsys, "form-witt", "--q", "11", "--diag", "1,5,7,2,3,1,1,9", "--max-search", "10"

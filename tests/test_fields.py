@@ -7,7 +7,6 @@ exhaustive enumeration of {x*x}, small-field arithmetic facts by hand.
 
 import random
 
-import numpy as np
 import pytest
 from sympy import ZZ
 from sympy.ntheory.residue_ntheory import is_quad_residue
@@ -15,7 +14,6 @@ from sympy.polys.galoistools import gf_irreducible_p
 
 from wittcurve.fields import (
     DEFAULT_CARDINALITY_BOUND,
-    TABLE_LIMIT,
     FiniteField,
     SquareClass,
     canonical_nonsquare,
@@ -24,6 +22,7 @@ from wittcurve.fields import (
     minus_one_class,
     residue_class_mod4,
     square_class,
+    square_root,
 )
 
 SMALL_FIELDS = [(3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (3, 2), (5, 2), (3, 3)]
@@ -204,6 +203,37 @@ def test_is_square_memo_independent_of_query_order():
                 assert is_square(x) == (x in squares), (field, i)
 
 
+def test_square_root_against_enumerated_squares():
+    # q = 17, 97, 257 make q - 1 divisible by 16, 32, 256, the deepest
+    # Tonelli-Shanks loops; each query order runs on a fresh field object
+    rng = random.Random(31)
+    for p, e in [(3, 1), (5, 1), (7, 1), (3, 2), (13, 1), (17, 1), (5, 2), (3, 3), (3, 4), (97, 1), (257, 1)]:
+        modulus = make_field(p, e).modulus
+        reference = FiniteField(p, e, modulus)
+        roots = {}
+        for y in reference.elements():
+            roots.setdefault(y * y, []).append(y)
+        indices = list(range(1, reference.q))
+        expected = None
+        for order in [indices, indices[::-1], rng.sample(indices, len(indices))]:
+            field = FiniteField(p, e, modulus)
+            answers = {}
+            for i in order:
+                x = field.element_from_index(i)
+                if x not in roots:
+                    with pytest.raises(ValueError):
+                        square_root(x)
+                    continue
+                r = square_root(x)
+                assert r * r == x, (field, x)
+                assert r in roots[x] and r.index <= (-r).index, (field, x, r)
+                answers[i] = r
+            assert len(answers) == (field.q - 1) // 2
+            expected = expected or answers
+            assert answers == expected, field
+        assert square_root(reference.zero) == reference.zero
+
+
 def test_squares_against_sympy_prime_fields():
     for p in [3, 5, 7, 11, 13, 17, 19, 23]:
         f = make_field(p)
@@ -266,40 +296,6 @@ def test_minus_one_class_matches_fields():
         assert minus_one_class(residue_class_mod4(f)) is square_class(f.element(-1))
     with pytest.raises(ValueError):
         minus_one_class(2)
-
-
-def test_op_tables_match_object_arithmetic():
-    for p, e in [(7, 1), (3, 2)]:
-        f = make_field(p, e)
-        add, mul = f.op_tables()
-        assert add.dtype == np.int16 and mul.dtype == np.int16
-        elems = list(f.elements())
-        for i, a in enumerate(elems):
-            for j, b in enumerate(elems):
-                assert add[i, j] == (a + b).index
-                assert mul[i, j] == (a * b).index
-
-
-def test_op_tables_sampled_larger_field():
-    f = make_field(5, 2)
-    add, mul = f.op_tables()
-    rng = random.Random(7)
-    for _ in range(200):
-        i, j = rng.randrange(f.q), rng.randrange(f.q)
-        a, b = f.element_from_index(i), f.element_from_index(j)
-        assert add[i, j] == (a + b).index
-        assert mul[i, j] == (a * b).index
-
-
-def test_op_tables_cached_and_bounded():
-    f = make_field(7)
-    a1, m1 = f.op_tables()
-    a2, m2 = f.op_tables()
-    assert a1 is a2 and m1 is m2
-    big = make_field(67, 2)  # 4489 > TABLE_LIMIT
-    assert big.q > TABLE_LIMIT
-    with pytest.raises(ValueError):
-        big.op_tables()
 
 
 def test_field_equality_and_repr():

@@ -245,15 +245,62 @@ def test_find_isotropic_scan_order_is_lex():
         assert got == brute
 
 
+def _lex_first_isotropic(form):
+    """First isotropic vector over all nonzero vectors in plain lex order."""
+    field = form.field
+    for tup in itertools.product(range(field.q), repeat=form.rank):
+        if any(tup):
+            v = tuple(field.element_from_index(i) for i in tup)
+            if form.value(v) == field.zero:
+                return v
+    return None
+
+
+def test_find_isotropic_matches_lex_oracle():
+    # every form of rank <= 3 (ranks 0 and 1 give None), then seeded rank 4
+    for p, e in [(3, 1), (5, 1), (7, 1), (3, 2)]:
+        field = make_field(p, e)
+        nonzero = list(field.nonzero_elements())
+        for n in range(4):
+            for tup in itertools.product(nonzero, repeat=n):
+                form = DiagonalForm(field, tup)
+                assert find_isotropic_vector(form) == _lex_first_isotropic(form), form
+        rng = random.Random(p * e)
+        for _ in range(30):
+            form = DiagonalForm(field, tuple(rng.choice(nonzero) for _ in range(4)))
+            assert find_isotropic_vector(form) == _lex_first_isotropic(form), form
+
+
+def _scan_order(q, n):
+    """Index vectors in the documented scan order, one per projective point."""
+    for lead in range(n - 1, -1, -1):
+        for tail in itertools.product(range(q), repeat=n - 1 - lead):
+            yield (0,) * lead + (1,) + tail
+
+
 def test_find_isotropic_respects_max_search():
+    # max_search bounds the answer's 1-based position in scan order, not
+    # q^rank: rank 9 over F_7 (7^9 > 10^7) has its answer at position 26
     f7 = make_field(7)
-    with pytest.raises(ValueError):
-        find_isotropic_vector(df(f7, *([1] * 9)))  # 7^9 > 10^7
+    form = df(f7, *([1] * 9))
+    v = find_isotropic_vector(form)
+    assert form.value(v) == f7.zero
+    indices = tuple(x.index for x in v)
+    position = next(i for i, w in enumerate(_scan_order(7, 9), 1) if w == indices)
+    assert position == 26
+    assert find_isotropic_vector(form, max_search=position) == v
+    with pytest.raises(ValueError, match="max_search"):
+        find_isotropic_vector(form, max_search=position - 1)
+    # an anisotropic search counts the whole projective space, q + 1 points
+    plane = df(f7, 1, 1)
+    assert find_isotropic_vector(plane, max_search=8) is None
+    with pytest.raises(ValueError, match="max_search"):
+        find_isotropic_vector(plane, max_search=7)
     assert DEFAULT_MAX_SEARCH == 10**7
 
 
 def test_find_isotropic_large_field_python_path():
-    # q = 4099 exceeds the op-table limit, exercising the object-arithmetic scan
+    # q = 4099 exceeds TABLE_LIMIT, so the scan builds its elements on demand
     field = make_field(4099)
     v = find_isotropic_vector(hyperbolic_plane(field), max_search=2 * 10**7)
     assert v == (field.one, field.one)
@@ -272,6 +319,24 @@ def test_witt_decompose_examples():
     assert signed_discriminant(kernel) is signed_discriminant(df(f5, 1))
     h, kernel = witt_decompose(df(f5))
     assert (h, kernel.rank) == (0, 0)
+
+
+def test_scan_and_decompose_near_cardinality_bound():
+    # q close to 2^20, one of each residue mod 4: rank-3 scans solve their
+    # last coordinate by Tonelli-Shanks (1048573) and by x^((q+1)/4)
+    # (1048571); rank-5 decompositions split rank-3 subforms only when
+    # q = 3 mod 4, as pair cancellation leaves rank <= 2 when q = 1 mod 4
+    rng = random.Random(1048)
+    for p in [1048573, 1048571]:
+        field = make_field(p)
+        for _ in range(20):
+            form = DiagonalForm(field, tuple(field.element(rng.randrange(1, p)) for _ in range(3)))
+            v = find_isotropic_vector(form)
+            assert v is not None and form.value(v) == field.zero
+            form = DiagonalForm(field, tuple(field.element(rng.randrange(1, p)) for _ in range(5)))
+            h, kernel = witt_decompose(form)
+            assert (h, kernel.rank) == (2, 1)
+            assert witt_invariants(kernel) == witt_invariants(form)
 
 
 def test_witt_decompose_structure_randomized():
