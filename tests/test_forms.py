@@ -245,32 +245,6 @@ def test_find_isotropic_scan_order_is_lex():
         assert got == brute
 
 
-def _lex_first_isotropic(form):
-    """First isotropic vector over all nonzero vectors in plain lex order."""
-    field = form.field
-    for tup in itertools.product(range(field.q), repeat=form.rank):
-        if any(tup):
-            v = tuple(field.element_from_index(i) for i in tup)
-            if form.value(v) == field.zero:
-                return v
-    return None
-
-
-def test_find_isotropic_matches_lex_oracle():
-    # every form of rank <= 3 (ranks 0 and 1 give None), then seeded rank 4
-    for p, e in [(3, 1), (5, 1), (7, 1), (3, 2)]:
-        field = make_field(p, e)
-        nonzero = list(field.nonzero_elements())
-        for n in range(4):
-            for tup in itertools.product(nonzero, repeat=n):
-                form = DiagonalForm(field, tup)
-                assert find_isotropic_vector(form) == _lex_first_isotropic(form), form
-        rng = random.Random(p * e)
-        for _ in range(30):
-            form = DiagonalForm(field, tuple(rng.choice(nonzero) for _ in range(4)))
-            assert find_isotropic_vector(form) == _lex_first_isotropic(form), form
-
-
 def _scan_order(q, n):
     """Index vectors in the documented scan order, one per projective point."""
     for lead in range(n - 1, -1, -1):

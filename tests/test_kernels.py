@@ -1,171 +1,68 @@
-"""Tests for the isotropy scan kernels.
+"""Tests for the isotropy scan kernel, `find_isotropic_vector`.
 
-The oracle is an independent pure-Python enumeration with exact FieldElement
-arithmetic over itertools.product, checked against both kernel paths: the
-odometer loops (numba-compiled where numba imports, plain Python where it
-does not) and the chunked numpy path.  The two paths must agree bit for bit,
-including the identity of the returned vector, since they claim the same
-deterministic scan order.
+The oracle is an independent enumeration of every nonzero vector in plain
+lexicographic order with exact FieldElement arithmetic; the scan's first
+isotropic vector must be the oracle's.  The small cases also pin how many
+vectors the scan counts against `max_search`.
 """
 
 import itertools
 import random
 
-import numpy as np
+import pytest
 
-from wittcurve import _kernels
 from wittcurve.fields import make_field
+from wittcurve.forms import DiagonalForm, find_isotropic_vector
 
 
-def _oracle_first(field, entries):
-    """First isotropic vector in plain lexicographic order over all nonzero v."""
-    n = len(entries)
-    for v in itertools.product(range(field.q), repeat=n):
-        if not any(v):
-            continue
-        total = field.zero
-        for a, vi in zip(entries, v):
-            x = field.element_from_index(vi)
-            total = total + a * x * x
-        if total == field.zero:
-            return np.array(v, dtype=np.int64)
+def _lex_first_isotropic(form):
+    """First isotropic vector over all nonzero vectors in plain lex order."""
+    field = form.field
+    for tup in itertools.product(range(field.q), repeat=form.rank):
+        if any(tup):
+            v = tuple(field.element_from_index(i) for i in tup)
+            if form.value(v) == field.zero:
+                return v
     return None
 
 
-def _oracle_count(field, entries):
-    n = len(entries)
-    count = 0
-    for v in itertools.product(range(field.q), repeat=n):
-        total = field.zero
-        for a, vi in zip(entries, v):
-            x = field.element_from_index(vi)
-            total = total + a * x * x
-        if total == field.zero:
-            count += 1
-    return count - 1
-
-
-def _codes(entries):
-    return np.array([a.index for a in entries], dtype=np.int64)
-
-
-def _loop_first(diag, add, mul):
-    out = _kernels._first_isotropic_njit(diag, add, mul)
-    return out if out.size else None
-
-
-def _loop_count(diag, add, mul):
-    return int(_kernels._count_isotropic_njit(diag, add, mul))
-
-
-_LOOPS = {_kernels.first_isotropic: _loop_first, _kernels.count_isotropic: _loop_count}
-
-
-def _both_paths(monkeypatch, fn, *args):
-    """(odometer loop result, numpy path result) for the public kernel fn."""
-    monkeypatch.setenv("WITTCURVE_NO_NUMBA", "1")
-    numpy_result = fn(*args)
-    monkeypatch.delenv("WITTCURVE_NO_NUMBA")
-    return _LOOPS[fn](*args), numpy_result
-
-
-def _cases(rng, field, max_rank):
-    elems = [x for x in field.nonzero_elements()]
-    for n in range(1, max_rank + 1):
-        for _ in range(6):
-            yield [rng.choice(elems) for _ in range(n)]
-
-
-def test_first_isotropic_matches_oracle(monkeypatch):
-    rng = random.Random(11)
+def test_first_isotropic_matches_oracle():
+    # every form of rank <= 3 (ranks 0 and 1 give None), then seeded rank 4
     for p, e in [(3, 1), (5, 1), (7, 1), (3, 2)]:
-        f = make_field(p, e)
-        add, mul = f.op_tables()
-        for entries in _cases(rng, f, 4):
-            expected = _oracle_first(f, entries)
-            got_loop, got_np = _both_paths(monkeypatch, _kernels.first_isotropic, _codes(entries), add, mul)
-            for got in (got_loop, got_np):
-                if expected is None:
-                    assert got is None
-                else:
-                    assert got is not None and np.array_equal(got, expected)
+        field = make_field(p, e)
+        nonzero = list(field.nonzero_elements())
+        for n in range(4):
+            for tup in itertools.product(nonzero, repeat=n):
+                form = DiagonalForm(field, tup)
+                assert find_isotropic_vector(form) == _lex_first_isotropic(form), form
+        rng = random.Random(p * e)
+        for _ in range(30):
+            form = DiagonalForm(field, tuple(rng.choice(nonzero) for _ in range(4)))
+            assert find_isotropic_vector(form) == _lex_first_isotropic(form), form
 
 
-def test_count_isotropic_matches_oracle(monkeypatch):
-    rng = random.Random(12)
-    for p, e in [(3, 1), (5, 1), (3, 2)]:
-        f = make_field(p, e)
-        add, mul = f.op_tables()
-        for entries in _cases(rng, f, 3):
-            expected = _oracle_count(f, entries)
-            got_loop, got_np = _both_paths(monkeypatch, _kernels.count_isotropic, _codes(entries), add, mul)
-            assert got_loop == expected
-            assert got_np == expected
-
-
-def test_hyperbolic_plane_first_vector(monkeypatch):
-    # <1,-1>: the scan should find (1, 1), the lex-first isotropic vector
+def test_hyperbolic_plane_first_vector():
+    # <1,-1>: the scan visits (0,1), (1,0), (1,1) and stops at the third
     for p in [3, 5, 7, 11]:
         f = make_field(p)
-        add, mul = f.op_tables()
-        codes = _codes([f.one, -f.one])
-        got_loop, got_np = _both_paths(monkeypatch, _kernels.first_isotropic, codes, add, mul)
-        assert np.array_equal(got_loop, np.array([1, 1]))
-        assert np.array_equal(got_np, np.array([1, 1]))
+        form = DiagonalForm(f, (f.one, -f.one))
+        assert find_isotropic_vector(form, max_search=3) == (f.one, f.one)
+        with pytest.raises(ValueError, match="max_search"):
+            find_isotropic_vector(form, max_search=2)
 
 
-def test_anisotropic_rank_one(monkeypatch):
-    f = make_field(5)
-    add, mul = f.op_tables()
-    got_loop, got_np = _both_paths(monkeypatch, _kernels.first_isotropic, _codes([f.one]), add, mul)
-    assert got_loop is None and got_np is None
+def test_anisotropic_rank_one():
+    # rank 1 has one projective point, e_0, and it is not isotropic
+    for p, e in [(5, 1), (7, 1), (3, 2)]:
+        f = make_field(p, e)
+        for a in f.nonzero_elements():
+            form = DiagonalForm(f, (a,))
+            assert find_isotropic_vector(form, max_search=1) is None
+            with pytest.raises(ValueError, match="max_search"):
+                find_isotropic_vector(form, max_search=0)
 
 
 def test_rank_zero():
+    # the zero space has no nonzero vector, so the scan counts nothing
     f = make_field(5)
-    add, mul = f.op_tables()
-    empty = np.empty(0, dtype=np.int64)
-    assert _kernels.first_isotropic(empty, add, mul) is None
-    assert _kernels.count_isotropic(empty, add, mul) == 0
-
-
-def test_odd_rank_count_is_classical(monkeypatch):
-    # nondegenerate odd-rank forms over F_q have exactly q^(n-1) isotropic
-    # vectors including zero, independent of the entries
-    for p in [3, 5, 7]:
-        f = make_field(p)
-        add, mul = f.op_tables()
-        s = f.element(2) if p == 3 else f.element(3)
-        for entries in [[f.one, f.one, f.one], [f.one, s, -f.one]]:
-            got_loop, got_np = _both_paths(monkeypatch, _kernels.count_isotropic, _codes(entries), add, mul)
-            assert got_loop == p**2 - 1
-            assert got_np == p**2 - 1
-
-
-def test_paths_agree_on_larger_scan(monkeypatch):
-    # rank 4 over F_11 crosses several numpy chunks
-    f = make_field(11)
-    add, mul = f.op_tables()
-    entries = [f.element(1), f.element(2), f.element(6), f.element(7)]
-    got_loop, got_np = _both_paths(monkeypatch, _kernels.first_isotropic, _codes(entries), add, mul)
-    assert np.array_equal(got_loop, got_np)
-    c_loop, c_np = _both_paths(monkeypatch, _kernels.count_isotropic, _codes(entries), add, mul)
-    assert c_loop == c_np
-
-
-def test_numba_is_active_by_default(monkeypatch):
-    # numba is optional: the compiled loops are the default exactly when numba
-    # imports, and WITTCURVE_NO_NUMBA=1 forces the numpy path, read per call
-    monkeypatch.delenv("WITTCURVE_NO_NUMBA", raising=False)
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        importable = False
-    else:
-        importable = True
-    assert _kernels.HAS_NUMBA == importable
-    assert _kernels._use_numba() == importable
-    monkeypatch.setattr(_kernels, "HAS_NUMBA", True)
-    assert _kernels._use_numba()
-    monkeypatch.setenv("WITTCURVE_NO_NUMBA", "1")
-    assert not _kernels._use_numba()
+    assert find_isotropic_vector(DiagonalForm(f, ()), max_search=0) is None
