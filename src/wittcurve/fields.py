@@ -205,7 +205,7 @@ class FiniteField:
     from independent make_field calls with the same arguments interoperate.
     """
 
-    __slots__ = ("p", "e", "q", "modulus", "_element_cache", "_nonsquare", "_squares", "_roots")
+    __slots__ = ("p", "e", "q", "modulus", "_element_cache", "_nonsquare", "_squares")
 
     def __init__(self, p: int, e: int, modulus: tuple[int, ...]):
         self.p = p
@@ -216,8 +216,6 @@ class FiniteField:
         self._nonsquare: FieldElement | None = None
         # Euler-criterion answers by element index: 0 unknown, 1 square, 2 nonsquare
         self._squares: bytearray | None = None
-        # square roots by element index, filled on demand
-        self._roots: dict[int, FieldElement] = {}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteField):
@@ -333,23 +331,15 @@ def square_root(x: FieldElement) -> FieldElement:
 
     Computed as x^((q+1)/4) when q = 3 mod 4 and by Tonelli-Shanks with the
     canonical non-square otherwise.  Raises ValueError when x is not a
-    square.  Roots are memoized on the field by element index, filled only
-    on demand.
+    square.
     """
     if not x:
         return x
-    field = x.field
-    i = x.coeffs[0] if field.e == 1 else x.index
-    root = field._roots.get(i)
-    if root is None:
-        if not is_square(x):
-            raise ValueError(f"{x} is not a square in {field!r}")
-        root = _some_root(x)
-        neg = -root
-        if neg.index < root.index:
-            root = neg
-        field._roots[i] = root
-    return root
+    if not is_square(x):
+        raise ValueError(f"{x} is not a square in {x.field!r}")
+    root = _some_root(x)
+    neg = -root
+    return neg if neg.index < root.index else root
 
 
 def _some_root(x: FieldElement) -> FieldElement:

@@ -259,7 +259,11 @@ def find_isotropic_vector(
 
     max_search bounds the 1-based position of the answer in that order, or
     the size of the whole projective space when there is no answer; a search
-    that would pass it raises ValueError.
+    that would pass it raises ValueError.  Each prefix counts its q vectors,
+    although it costs one square test, so near the default bound of 10^7 a
+    field of about 2^20 elements leaves room for about nine prefixes: a
+    rank-3 form whose first solvable prefix comes later needs a larger
+    max_search.
     """
     field = f.field
     q = field.q
@@ -271,28 +275,34 @@ def find_isotropic_vector(
         if position > max_search:
             raise ValueError(f"isotropic search passes max_search = {max_search} vectors in scan order")
 
-    scanned = min(n, 1)  # vectors ahead of the current prefix; e_{n-1} is first and not isotropic
-    scale = -entries[-1].inverse() if n > 1 else None
-    # leads n-2 and n-3 cover the subforms on the last two and three
-    # coordinates; a rank-3 form over a finite field is isotropic, so the scan
-    # never passes lead n-3 and has at most one middle coordinate
-    for lead in range(n - 2, max(n - 4, -1), -1):
-        middle = entries[lead + 1 : -1]
-        for d in range(q ** len(middle)):
-            check_within(scanned + 1)
-            xs = (field.element_from_index(d),) if middle else ()
-            total = entries[lead]
-            for a, x in zip(middle, xs):
-                total = total + a * x * x
-            t = total * scale
-            if not t or is_square(t):
-                x = square_root(t)
-                check_within(scanned + x.index + 1)
-                v = (zero,) * lead + (field.one, *xs, x)
-                assert f.value(v) == zero
-                return v
-            scanned += q
-    assert n < 3, "forms of rank >= 3 over a finite field are isotropic"
+    if n < 2:
+        check_within(n)  # the empty space, or e_0 alone, which is not isotropic
+        return None
+
+    def prefixes():
+        # (lead, middle coordinates, a_lead + sum a_i x_i^2) in scan order;
+        # a rank-3 form over a finite field is isotropic, so the scan never
+        # passes lead n-3, whose one middle coordinate runs over the field
+        yield n - 2, (), entries[-2]
+        if n >= 3:
+            a_lead, a_mid = entries[-3], entries[-2]
+            for d in range(q):
+                x_mid = field.element_from_index(d)
+                yield n - 3, (x_mid,), a_lead + a_mid * x_mid * x_mid
+
+    scale = -entries[-1].inverse()
+    scanned = 1  # vectors ahead of the current prefix; e_{n-1} is first and not isotropic
+    for lead, middle, total in prefixes():
+        check_within(scanned + 1)
+        t = total * scale
+        if not t or is_square(t):
+            x = square_root(t)
+            check_within(scanned + x.index + 1)
+            v = (zero,) * lead + (field.one, *middle, x)
+            assert f.value(v) == zero
+            return v
+        scanned += q
+    assert n == 2, "forms of rank >= 3 over a finite field are isotropic"
     check_within(scanned)
     return None
 

@@ -313,6 +313,34 @@ def test_scan_and_decompose_near_cardinality_bound():
             assert witt_invariants(kernel) == witt_invariants(form)
 
 
+def test_late_prefix_near_cardinality_bound_needs_larger_max_search():
+    # <12,1,1> over F_1048571 (q = 3 mod 4, so -1 is a nonsquare): the tail
+    # <1,1> is anisotropic and 12 + d^2 is a nonzero square for d = 0..14,
+    # so t = -(12 + d^2) is a nonsquare and the first solvable prefix is
+    # (1, 15).  Every prefix counts q vectors, so the answer sits at position
+    # 16q + index + 2, past the default bound; a larger max_search finds it
+    q = 1048571
+    field = make_field(q)
+    form = df(field, 12, 1, 1)
+    assert all(square_class(field.element(12 + d * d)) is ONE for d in range(15))
+    assert square_class(field.element(12 + 15 * 15)) is NS
+    with pytest.raises(ValueError, match="max_search"):
+        find_isotropic_vector(form)
+    with pytest.raises(ValueError, match="max_search"):
+        witt_decompose(form)
+    v = find_isotropic_vector(form, max_search=17 * q)
+    assert form.value(v) == field.zero
+    assert (v[0], v[1]) == (field.one, field.element(15))
+    position = 16 * q + v[2].index + 2
+    assert position > DEFAULT_MAX_SEARCH
+    assert find_isotropic_vector(form, max_search=position) == v
+    with pytest.raises(ValueError, match="max_search"):
+        find_isotropic_vector(form, max_search=position - 1)
+    h, kernel = witt_decompose(form, max_search=position)
+    assert (h, kernel.rank) == (1, 1)
+    assert witt_invariants(kernel) == witt_invariants(form)
+
+
 def test_witt_decompose_structure_randomized():
     rng = random.Random(77)
     for p, e in [(3, 1), (5, 1), (7, 1), (11, 1), (3, 2)]:
