@@ -417,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=DEFAULT_MAX_SEARCH,
             dest="max_search",
-            help="cap on vectors scanned per isotropy search",
+            help="cap on square tests per isotropy search",
         )
     return parser
 

@@ -93,6 +93,8 @@ class WittClass:
     # ring structure: sigma enters only as a flip of the u bit when q = 3 mod 4
 
     def _compatible(self, other: "WittClass") -> None:
+        # the raising path of the operators, which test the same three
+        # conditions inline first
         if not isinstance(other, WittClass):
             raise TypeError(f"expected WittClass, got {type(other).__name__}")
         if self.context != other.context:
@@ -101,7 +103,8 @@ class WittClass:
             raise ValueError(f"mixed group ranks: {self.r} vs {other.r}")
 
     def __add__(self, other: "WittClass") -> "WittClass":
-        self._compatible(other)
+        if not isinstance(other, WittClass) or other.context != self.context or other.r != self.r:
+            self._compatible(other)
         a = self.code
         b = other.code
         code = a ^ b
@@ -118,7 +121,8 @@ class WittClass:
         return self + (-other)
 
     def __mul__(self, other: "WittClass") -> "WittClass":
-        self._compatible(other)
+        if not isinstance(other, WittClass) or other.context != self.context or other.r != self.r:
+            self._compatible(other)
         a = self.code
         b = other.code
         if a & b & 1:

@@ -218,6 +218,8 @@ class FiniteField:
         self._squares: bytearray | None = None
 
     def __eq__(self, other: object) -> bool:
+        if self is other:  # the common case: make_field caches its fields
+            return True
         if not isinstance(other, FiniteField):
             return NotImplemented
         return (self.p, self.e, self.modulus) == (other.p, other.e, other.modulus)
@@ -312,9 +314,8 @@ def is_square(x: FieldElement) -> bool:
 
     Each answer is memoized on the field by element index, so the power is
     taken at most once per element; the memo is filled only on demand.
+    Index 0 is zero's and is never written, so zero always misses the memo.
     """
-    if not x:
-        raise ValueError("zero has no square class")
     field = x.field
     memo = field._squares
     if memo is None:
@@ -322,6 +323,8 @@ def is_square(x: FieldElement) -> bool:
     i = x.coeffs[0] if field.e == 1 else x.index
     known = memo[i]
     if not known:
+        if not i:
+            raise ValueError("zero has no square class")
         known = memo[i] = 1 if x ** ((field.q - 1) // 2) == field.one else 2
     return known == 1
 

@@ -257,13 +257,12 @@ def find_isotropic_vector(
     is 0 when t = 0, the square root of t with the smaller index when t is a
     square, and otherwise the prefix has no isotropic vector.
 
-    max_search bounds the 1-based position of the answer in that order, or
-    the size of the whole projective space when there is no answer; a search
-    that would pass it raises ValueError.  Each prefix counts its q vectors,
-    although it costs one square test, so near the default bound of 10^7 a
-    field of about 2^20 elements leaves room for about nine prefixes: a
-    rank-3 form whose first solvable prefix comes later needs a larger
-    max_search.
+    max_search bounds the number of prefixes tried, each one square test;
+    a search that would try more raises ValueError.  An anisotropic form
+    tries every prefix, which at rank 2 is one; ranks 0 and 1 try none.  No
+    scan tries more than q + 1 prefixes, so the default of 10^7 never binds
+    for a field that make_field accepts, and a smaller value caps the cost
+    where one square test is expensive.
     """
     field = f.field
     q = field.q
@@ -271,13 +270,8 @@ def find_isotropic_vector(
     n = len(entries)
     zero = field.zero
 
-    def check_within(position: int) -> None:
-        if position > max_search:
-            raise ValueError(f"isotropic search passes max_search = {max_search} vectors in scan order")
-
     if n < 2:
-        check_within(n)  # the empty space, or e_0 alone, which is not isotropic
-        return None
+        return None  # the empty space, or e_0 alone, which is not isotropic
 
     def prefixes():
         # (lead, middle coordinates, a_lead + sum a_i x_i^2) in scan order;
@@ -291,19 +285,17 @@ def find_isotropic_vector(
                 yield n - 3, (x_mid,), a_lead + a_mid * x_mid * x_mid
 
     scale = -entries[-1].inverse()
-    scanned = 1  # vectors ahead of the current prefix; e_{n-1} is first and not isotropic
+    tests = 0
     for lead, middle, total in prefixes():
-        check_within(scanned + 1)
+        tests += 1
+        if tests > max_search:
+            raise ValueError(f"isotropic search passes max_search = {max_search} square tests")
         t = total * scale
         if not t or is_square(t):
-            x = square_root(t)
-            check_within(scanned + x.index + 1)
-            v = (zero,) * lead + (field.one, *middle, x)
+            v = (zero,) * lead + (field.one, *middle, square_root(t))
             assert f.value(v) == zero
             return v
-        scanned += q
     assert n == 2, "forms of rank >= 3 over a finite field are isotropic"
-    check_within(scanned)
     return None
 
 

@@ -242,10 +242,13 @@ def test_cold_start_does_not_import_numpy():
 
 
 def test_max_search_flag(capsys):
-    code, _, err = run(
-        capsys, "form-witt", "--q", "11", "--diag", "1,5,7,2,3,1,1,9", "--max-search", "10"
-    )
+    # the flag counts square tests per isotropy search; one split of this
+    # decomposition takes 4
+    diag = ("form-witt", "--q", "11", "--diag", "1,5,7,2,3,1,1,9")
+    code, _, err = run(capsys, *diag, "--max-search", "3")
     assert code == 2 and "search" in err.lower()
+    code, out, _ = run(capsys, *diag, "--max-search", "4")
+    assert code == 0 and "rank 8 = 2*4 + 0" in out
 
 
 def test_closed_stdout_exits_without_traceback():

@@ -203,6 +203,22 @@ def test_is_square_memo_independent_of_query_order():
                 assert is_square(x) == (x in squares), (field, i)
 
 
+def test_is_square_rejects_zero_with_memo_empty_and_full():
+    # zero's memo slot, index 0, is never written: zero misses the memo and
+    # raises on a fresh field and after every nonzero element is memoized
+    for p, e in [(7, 1), (3, 2), (5, 2)]:
+        field = FiniteField(p, e, make_field(p, e).modulus)
+        with pytest.raises(ValueError, match="zero has no square class"):
+            is_square(field.zero)
+        assert field._squares is None or field._squares[0] == 0
+        for x in field.nonzero_elements():
+            is_square(x)
+        assert all(field._squares[1:])
+        with pytest.raises(ValueError, match="zero has no square class"):
+            is_square(field.zero)
+        assert field._squares[0] == 0
+
+
 def test_square_root_against_enumerated_squares():
     # q = 17, 97, 257 make q - 1 divisible by 16, 32, 256, the deepest
     # Tonelli-Shanks loops; each query order runs on a fresh field object
@@ -306,6 +322,11 @@ def test_field_equality_and_repr():
     assert f != make_field(3)
     assert repr(f) == "F_9"
     assert f.element((1, 1)) == g.element((1, 1))
+    # equal but distinct objects, neither from make_field, still interoperate
+    h = FiniteField(3, 2, (1, 0, 1))
+    assert h is not g and h == g
+    assert g.element((1, 1)) + h.element((2, 1)) == g.element((0, 2))
+    assert h.element((0, 1)) * g.element((0, 1)) == h.element((2, 0))
 
 
 def test_element_from_long_coefficient_sequence():

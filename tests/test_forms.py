@@ -253,8 +253,10 @@ def _scan_order(q, n):
 
 
 def test_find_isotropic_respects_max_search():
-    # max_search bounds the answer's 1-based position in scan order, not
-    # q^rank: rank 9 over F_7 (7^9 > 10^7) has its answer at position 26
+    # max_search bounds the prefixes tried, one square test each, not q^rank
+    # or scan positions: rank 9 over F_7 (7^9 > 10^7) has its answer at
+    # position 26 in scan order, solved by the fourth prefix, (.., 1, d, x)
+    # with d = 2, after (.., 1, x) and d = 0, 1
     f7 = make_field(7)
     form = df(f7, *([1] * 9))
     v = find_isotropic_vector(form)
@@ -262,14 +264,14 @@ def test_find_isotropic_respects_max_search():
     indices = tuple(x.index for x in v)
     position = next(i for i, w in enumerate(_scan_order(7, 9), 1) if w == indices)
     assert position == 26
-    assert find_isotropic_vector(form, max_search=position) == v
+    assert find_isotropic_vector(form, max_search=4) == v
     with pytest.raises(ValueError, match="max_search"):
-        find_isotropic_vector(form, max_search=position - 1)
-    # an anisotropic search counts the whole projective space, q + 1 points
+        find_isotropic_vector(form, max_search=3)
+    # an anisotropic search tries every prefix, which at rank 2 is one
     plane = df(f7, 1, 1)
-    assert find_isotropic_vector(plane, max_search=8) is None
+    assert find_isotropic_vector(plane, max_search=1) is None
     with pytest.raises(ValueError, match="max_search"):
-        find_isotropic_vector(plane, max_search=7)
+        find_isotropic_vector(plane, max_search=0)
     assert DEFAULT_MAX_SEARCH == 10**7
 
 
@@ -313,32 +315,29 @@ def test_scan_and_decompose_near_cardinality_bound():
             assert witt_invariants(kernel) == witt_invariants(form)
 
 
-def test_late_prefix_near_cardinality_bound_needs_larger_max_search():
+def test_late_prefix_near_cardinality_bound_within_default_max_search():
     # <12,1,1> over F_1048571 (q = 3 mod 4, so -1 is a nonsquare): the tail
     # <1,1> is anisotropic and 12 + d^2 is a nonzero square for d = 0..14,
     # so t = -(12 + d^2) is a nonsquare and the first solvable prefix is
-    # (1, 15).  Every prefix counts q vectors, so the answer sits at position
-    # 16q + index + 2, past the default bound; a larger max_search finds it
+    # (1, 15).  The search tries 17 prefixes, (0, 1, x) and d = 0..15, far
+    # below the default bound, and exactly 17 square tests suffice
     q = 1048571
     field = make_field(q)
     form = df(field, 12, 1, 1)
     assert all(square_class(field.element(12 + d * d)) is ONE for d in range(15))
     assert square_class(field.element(12 + 15 * 15)) is NS
-    with pytest.raises(ValueError, match="max_search"):
-        find_isotropic_vector(form)
-    with pytest.raises(ValueError, match="max_search"):
-        witt_decompose(form)
-    v = find_isotropic_vector(form, max_search=17 * q)
+    v = find_isotropic_vector(form)
     assert form.value(v) == field.zero
     assert (v[0], v[1]) == (field.one, field.element(15))
-    position = 16 * q + v[2].index + 2
-    assert position > DEFAULT_MAX_SEARCH
-    assert find_isotropic_vector(form, max_search=position) == v
+    assert find_isotropic_vector(form, max_search=17) == v
     with pytest.raises(ValueError, match="max_search"):
-        find_isotropic_vector(form, max_search=position - 1)
-    h, kernel = witt_decompose(form, max_search=position)
+        find_isotropic_vector(form, max_search=16)
+    h, kernel = witt_decompose(form)
     assert (h, kernel.rank) == (1, 1)
     assert witt_invariants(kernel) == witt_invariants(form)
+    assert witt_decompose(form, max_search=17) == (h, kernel)
+    with pytest.raises(ValueError, match="max_search"):
+        witt_decompose(form, max_search=16)
 
 
 def test_witt_decompose_structure_randomized():

@@ -3,7 +3,7 @@
 The oracle is an independent enumeration of every nonzero vector in plain
 lexicographic order with exact FieldElement arithmetic; the scan's first
 isotropic vector must be the oracle's.  The small cases also pin how many
-vectors the scan counts against `max_search`.
+square tests the scan counts against `max_search`.
 """
 
 import itertools
@@ -42,27 +42,27 @@ def test_first_isotropic_matches_oracle():
 
 
 def test_hyperbolic_plane_first_vector():
-    # <1,-1>: the scan visits (0,1), (1,0), (1,1) and stops at the third
+    # <1,-1>: the scan passes (0,1) without a square test, and its one
+    # prefix (1, x) solves x = 1
     for p in [3, 5, 7, 11]:
         f = make_field(p)
         form = DiagonalForm(f, (f.one, -f.one))
-        assert find_isotropic_vector(form, max_search=3) == (f.one, f.one)
+        assert find_isotropic_vector(form, max_search=1) == (f.one, f.one)
         with pytest.raises(ValueError, match="max_search"):
-            find_isotropic_vector(form, max_search=2)
+            find_isotropic_vector(form, max_search=0)
 
 
 def test_anisotropic_rank_one():
-    # rank 1 has one projective point, e_0, and it is not isotropic
+    # rank 1 has one projective point, e_0, and it is not isotropic; the
+    # scan knows that without a square test
     for p, e in [(5, 1), (7, 1), (3, 2)]:
         f = make_field(p, e)
         for a in f.nonzero_elements():
             form = DiagonalForm(f, (a,))
-            assert find_isotropic_vector(form, max_search=1) is None
-            with pytest.raises(ValueError, match="max_search"):
-                find_isotropic_vector(form, max_search=0)
+            assert find_isotropic_vector(form, max_search=0) is None
 
 
 def test_rank_zero():
-    # the zero space has no nonzero vector, so the scan counts nothing
+    # the zero space has no nonzero vector, so the scan makes no square test
     f = make_field(5)
     assert find_isotropic_vector(DiagonalForm(f, ()), max_search=0) is None
