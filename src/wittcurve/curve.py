@@ -14,6 +14,7 @@ tables, through sigma, the square class of -1.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Literal, Sequence
 
 from .fields import SquareClass, minus_one_class
@@ -25,16 +26,54 @@ Parity = Literal["odd", "even"]
 
 _new = object.__new__
 
+# ranks up to this bound keep every class of a ring in one table, 4·2^r
+# objects built once; at r = 16 that table would take about 17 MB, so
+# higher ranks allocate each result
+INTERN_RANK = 10
+
+
+class _Ring:
+    """The classes of one rank r in one context q mod 4.
+
+    flip is the u bit of sigma shifted into place (2 when q = 3 mod 4, else
+    0), and classes maps each code to its one interned class for
+    r <= INTERN_RANK and is None above.
+    """
+
+    __slots__ = ("r", "context", "flip", "classes")
+
+    def __init__(self, r: int, context: int):
+        self.r = r
+        self.context = context
+        self.flip = 2 if context == 3 else 0
+        self.classes = None
+        if r <= INTERN_RANK:
+            self.classes = [_of_code(code, self) for code in range(4 << r)]
+
+    def __reduce__(self):
+        # copies and unpickled classes must share the cached ring, which
+        # class equality compares by identity
+        return (_ring, (self.r, self.context))
+
+
+@lru_cache(maxsize=None)
+def _ring(r: int, context: int) -> _Ring:
+    """The one ring of rank r in a context; the context must be 1 or 3."""
+    if context not in (1, 3):
+        raise ValueError(f"context must be 1 or 3, got {context}")
+    return _Ring(r, context)
+
 
 class WittClass:
     """A canonical Witt class: (parity, u, L) in a fixed context q mod 4.
 
     The class is packed into one int, code = odd | u_bit << 1 | L.code << 2,
-    kept beside the 2-torsion rank r, so the ring operations are bit
-    operations on codes; parity, u and L are read-only views of the code.
+    kept beside its ring (the rank r and the context), so the ring
+    operations are bit operations on codes; parity, u and L are read-only
+    views of the code.
     """
 
-    __slots__ = ("code", "r", "context")
+    __slots__ = ("code", "ring")
 
     def __init__(self, parity: Parity, u: SquareClass, L: PicElement, context: int):
         if parity not in ("odd", "even"):
@@ -43,11 +82,8 @@ class WittClass:
             raise TypeError("u must be a SquareClass")
         if not isinstance(L, PicElement):
             raise TypeError("L must be a PicElement")
-        if context not in (1, 3):
-            raise ValueError(f"context must be 1 or 3, got {context}")
+        self.ring = _ring(L.rank, context)  # validates the context
         self.code = (parity == "odd") | (u is _NS) << 1 | L.code << 2
-        self.r = L.rank
-        self.context = context
 
     # constructors
 
@@ -68,8 +104,16 @@ class WittClass:
         return WittClass("odd", _ONE, group.identity, context)
 
     @property
+    def r(self) -> int:
+        return self.ring.r
+
+    @property
     def rank(self) -> int:
-        return self.r
+        return self.ring.r
+
+    @property
+    def context(self) -> int:
+        return self.ring.context
 
     @property
     def parity(self) -> Parity:
@@ -93,8 +137,8 @@ class WittClass:
     # ring structure: sigma enters only as a flip of the u bit when q = 3 mod 4
 
     def _compatible(self, other: "WittClass") -> None:
-        # the raising path of the operators, which test the same three
-        # conditions inline first
+        # the raising path of the operators, which first test inline that
+        # other is a class of the same ring
         if not isinstance(other, WittClass):
             raise TypeError(f"expected WittClass, got {type(other).__name__}")
         if self.context != other.context:
@@ -103,47 +147,46 @@ class WittClass:
             raise ValueError(f"mixed group ranks: {self.r} vs {other.r}")
 
     def __add__(self, other: "WittClass") -> "WittClass":
-        if not isinstance(other, WittClass) or other.context != self.context or other.r != self.r:
+        ring = self.ring
+        if type(other) is not WittClass or other.ring is not ring:
             self._compatible(other)
         a = self.code
         b = other.code
-        code = a ^ b
-        if a & b & 1 and self.context == 3:
-            code ^= 2
-        return _of_code(code, self.r, self.context)
+        if a & b & 1:
+            return _of_code(a ^ b ^ ring.flip, ring)
+        return _of_code(a ^ b, ring)
 
     def __neg__(self) -> "WittClass":
-        if self.code & 1 and self.context == 3:
-            return _of_code(self.code ^ 2, self.r, self.context)
+        if self.code & 1 and self.ring.flip:
+            return _of_code(self.code ^ 2, self.ring)
         return self
 
     def __sub__(self, other: "WittClass") -> "WittClass":
         return self + (-other)
 
     def __mul__(self, other: "WittClass") -> "WittClass":
-        if not isinstance(other, WittClass) or other.context != self.context or other.r != self.r:
+        ring = self.ring
+        if type(other) is not WittClass or other.ring is not ring:
             self._compatible(other)
         a = self.code
         b = other.code
         if a & b & 1:
-            return _of_code((a ^ b) | 1, self.r, self.context)
+            return _of_code((a ^ b) | 1, ring)
         if a & 1:
             return other  # odd units act trivially on the even ideal
         if b & 1:
             return self
-        return _of_code(0, self.r, self.context)
+        return _of_code(0, ring)
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, WittClass):
             return NotImplemented
-        return (
-            self.code == other.code
-            and self.r == other.r
-            and self.context == other.context
-        )
+        return self.code == other.code and self.ring is other.ring
 
     def __hash__(self) -> int:
-        return hash((self.code, self.r, self.context))
+        return hash((self.code, self.ring.r, self.ring.context))
 
     def __str__(self) -> str:
         # unit letter, then the bundle bits when nontrivial; bits alone would
@@ -175,12 +218,14 @@ class WittClass:
         )
 
 
-def _of_code(code: int, r: int, context: int) -> WittClass:
+def _of_code(code: int, ring: _Ring) -> WittClass:
     # unchecked constructor, only for codes computed from validated classes
+    classes = ring.classes
+    if classes is not None:
+        return classes[code]
     c = _new(WittClass)
     c.code = code
-    c.r = r
-    c.context = context
+    c.ring = ring
     return c
 
 
@@ -200,12 +245,14 @@ def enumerate_classes(
     context: int, group: Pic2Group, bound: int = DEFAULT_ENUMERATION_BOUND
 ) -> list[WittClass]:
     """All 4·2^r classes: the odd block (u = 1 then u = s), then the even block."""
-    out = []
-    for parity in ("odd", "even"):
-        for u in (_ONE, _NS):
-            for L in group.enumerate(bound):
-                out.append(WittClass(parity, u, L, context))
-    return out
+    bundles = group.enumerate(bound)
+    ring = _ring(group.r, context)  # validates the context
+    return [
+        _of_code(odd | u_bit << 1 | L.code << 2, ring)
+        for odd in (1, 0)
+        for u_bit in (0, 1)
+        for L in bundles
+    ]
 
 
 def reduce_word(
@@ -220,7 +267,9 @@ def reduce_word(
     word length mod 2 and whose line bundle part is the product of the
     letters' L components.
     """
-    code = WittClass.zero(context, group).code  # validates the context
+    ring = _ring(group.r, context)  # validates the context
+    flip = ring.flip
+    code = 0
     for u, L in word:
         if L.rank != group.r:
             raise ValueError(f"letter rank {L.rank} does not match group rank {group.r}")
@@ -228,6 +277,6 @@ def reduce_word(
             raise TypeError("u must be a SquareClass")
         # add the odd letter <u>L: odd + odd flips the u bit when q = 3 mod 4
         code ^= 1 | (u is _NS) << 1 | L.code << 2
-        if not code & 1 and context == 3:
-            code ^= 2
-    return _of_code(code, group.r, context)
+        if not code & 1:
+            code ^= flip
+    return _of_code(code, ring)

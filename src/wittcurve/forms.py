@@ -244,6 +244,13 @@ def diagonalize_with_basis(g: GramForm) -> tuple[DiagonalForm, tuple[tuple[Field
     return DiagonalForm(field, diag), tuple(tuple(row) for row in t)
 
 
+def _check_max_search(max_search: int) -> None:
+    # up front, because a search that needs no square test never compares
+    # against the bound
+    if max_search < 0:
+        raise ValueError(f"max_search must be >= 0, got {max_search}")
+
+
 def find_isotropic_vector(
     f: DiagonalForm, max_search: int = DEFAULT_MAX_SEARCH
 ) -> Optional[tuple[FieldElement, ...]]:
@@ -258,12 +265,13 @@ def find_isotropic_vector(
     square, and otherwise the prefix has no isotropic vector.
 
     max_search bounds the number of prefixes tried, each one square test;
-    a search that would try more raises ValueError.  An anisotropic form
-    tries every prefix, which at rank 2 is one; ranks 0 and 1 try none.  No
-    scan tries more than q + 1 prefixes, so the default of 10^7 never binds
-    for a field that make_field accepts, and a smaller value caps the cost
-    where one square test is expensive.
+    a search that would try more raises ValueError, and so does a negative
+    max_search.  An anisotropic form tries every prefix, which at rank 2 is
+    one; ranks 0 and 1 try none.  No scan tries more than q + 1 prefixes, so
+    the default of 10^7 never binds for a field that make_field accepts, and
+    a smaller value caps the cost where one square test is expensive.
     """
+    _check_max_search(max_search)
     field = f.field
     q = field.q
     entries = f.entries
@@ -363,7 +371,9 @@ def witt_decompose(
     Entry pairs <a, b> with -ab a square split off directly; once no such
     pair remains and rank >= 3, a hyperbolic plane is split out of the
     leading rank-3 subform.  The kernel always ends with rank <= 2.
+    max_search is passed to each isotropy search and must be >= 0.
     """
+    _check_max_search(max_search)
     field = f.field
     entries = list(f.entries)
     # square-class bits beside the entries: -ab is a square exactly when the

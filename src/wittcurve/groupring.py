@@ -11,7 +11,7 @@ an unimpeachable membership oracle; normal_form gives the O(support)
 arithmetic answer that the oracle certifies.
 
 Elements are encoded for the closure as one base-4 digit per group slot
-(rank parity plus discriminant bit), so the additive closure runs as
+(the coefficient's WittK code, rank parity plus discriminant bit), so the additive closure runs as
 table lookups over small numpy arrays.  Only this brute-force certification
 uses numpy, so it is imported inside the functions that run it: importing
 the package, and with it every CLI run that does not certify, stays free of
@@ -20,13 +20,14 @@ numpy's import cost.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING
 
 from .curve import WittClass, reduce_word
 from .fields import SquareClass
 from .pic2 import Pic2Group, PicElement
-from .wittk import WittK
+from .wittk import _BY_CODE, WittK
 
 if TYPE_CHECKING:
     import numpy as np
@@ -35,6 +36,8 @@ _ONE, _NS = SquareClass.ONE, SquareClass.NONSQUARE
 
 CLOSURE_RANK_BOUND = 3
 FULL_RING_RANK_BOUND = 3
+
+_new = object.__new__
 
 
 class GroupRingElement:
@@ -106,10 +109,10 @@ class GroupRingElement:
                 out.pop(L, None)
             else:
                 out[L] = total
-        return GroupRingElement(self.context, self.group, out)
+        return _of_terms(self.context, self.group, out)
 
     def __neg__(self) -> "GroupRingElement":
-        return GroupRingElement(self.context, self.group, [(L, -c) for L, c in self._coeffs.items()])
+        return _of_terms(self.context, self.group, {L: -c for L, c in self._coeffs.items()})
 
     def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
         return self + (-other)
@@ -127,7 +130,7 @@ class GroupRingElement:
                     out.pop(N, None)
                 else:
                     out[N] = total
-        return GroupRingElement(self.context, self.group, out)
+        return _of_terms(self.context, self.group, out)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GroupRingElement):
@@ -164,6 +167,18 @@ class GroupRingElement:
             (group.element(item["L"]), WittK.from_letter(item["coef"], context)) for item in data
         ]
         return GroupRingElement(context, group, terms)
+
+
+def _of_terms(
+    context: int, group: Pic2Group, coeffs: dict[PicElement, WittK]
+) -> GroupRingElement:
+    # unchecked constructor, only for nonzero coefficients computed from
+    # validated elements
+    f = _new(GroupRingElement)
+    f.context = context
+    f.group = group
+    f._coeffs = coeffs
+    return f
 
 
 @dataclass(frozen=True)
@@ -215,43 +230,38 @@ def relation_generators(context: int, group: Pic2Group) -> list[GroupRingElement
 
 # encoded arithmetic: one base-4 digit per group slot
 
-def _code_tables(context: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[WittK]]:
+def _code_tables(context: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[WittK, ...]]:
     """(add, mul, neg) tables over the 4 coefficient codes, plus code -> WittK."""
     import numpy as np
 
-    by_code = [None] * 4
-    for w in WittK.elements(context):
-        code = w.rank_parity + (2 if w.disc is _NS else 0)
-        by_code[code] = w
-
-    def enc(w: WittK) -> int:
-        return w.rank_parity + (2 if w.disc is _NS else 0)
-
+    by_code = _BY_CODE[context]
     add = np.zeros((4, 4), dtype=np.uint8)
     mul = np.zeros((4, 4), dtype=np.uint8)
     neg = np.zeros(4, dtype=np.uint8)
     for i, a in enumerate(by_code):
-        neg[i] = enc(-a)
+        neg[i] = (-a).code
         for j, b in enumerate(by_code):
-            add[i, j] = enc(a + b)
-            mul[i, j] = enc(a * b)
+            add[i, j] = (a + b).code
+            mul[i, j] = (a * b).code
     return add, mul, neg, by_code
 
 
 def _encode(f: GroupRingElement) -> list[int]:
     out = [0] * f.group.n
     for L, c in f._coeffs.items():
-        out[L.code] = c.rank_parity + (2 if c.disc is _NS else 0)
+        out[L.code] = c.code
     return out
 
 
-def _decode(codes: Iterable[int], context: int, group: Pic2Group, by_code: list[WittK]) -> GroupRingElement:
-    terms = [
-        (PicElement(group.r, slot), by_code[int(code)])
+def _decode(
+    codes: Iterable[int], context: int, group: Pic2Group, by_code: tuple[WittK, ...]
+) -> GroupRingElement:
+    terms = {
+        PicElement(group.r, slot): by_code[int(code)]
         for slot, code in enumerate(codes)
         if code
-    ]
-    return GroupRingElement(context, group, terms)
+    }
+    return _of_terms(context, group, terms)
 
 
 def ideal_closure(

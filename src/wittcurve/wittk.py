@@ -8,6 +8,10 @@ versus exponent 2), so arithmetic across contexts is rejected.
 The four elements, in every context: zero = (0, One), the nontrivial even
 class E = (0, NonSquare), and the two odd classes <1> and <s>.  E is
 represented by <1,s> when q = 1 mod 4 and by <1,1> when q = 3 mod 4.
+
+Each element also carries the 2-bit code rank_parity | disc_bit << 1, the
+coefficient code the group-ring closure uses; the operators are bit rules
+on codes and return the four values of each context, built once.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ _ONE, _NS = SquareClass.ONE, SquareClass.NONSQUARE
 class WittK:
     """An element of W(k), identified by (rank_parity, disc) in a context."""
 
-    __slots__ = ("rank_parity", "disc", "context")
+    __slots__ = ("rank_parity", "disc", "context", "code")
 
     def __init__(self, rank_parity: int, disc: SquareClass, context: int):
         if context not in (1, 3):
@@ -42,6 +46,7 @@ class WittK:
         self.rank_parity = rank_parity
         self.disc = disc
         self.context = context
+        self.code = rank_parity | (disc is _NS) << 1
 
     # the four elements
 
@@ -76,7 +81,7 @@ class WittK:
     # structure
 
     def is_zero(self) -> bool:
-        return self.rank_parity == 0 and self.disc is _ONE
+        return self.code == 0
 
     def unit(self) -> SquareClass:
         """For an odd class <u>, the square class u."""
@@ -115,50 +120,54 @@ class WittK:
             raise ValueError(f"unknown class letter {letter!r}, expected one of 0, 1, s, e")
         return table[letter](context)
 
-    # ring operations
+    # ring operations: bit rules on codes, where sigma enters only as a flip
+    # of the disc bit, context & 2 (2 when q = 3 mod 4, else 0)
 
     def _same_context(self, other: "WittK") -> None:
+        # the raising path of the operators, which test the operand inline first
         if not isinstance(other, WittK):
             raise TypeError(f"expected WittK, got {type(other).__name__}")
         if self.context != other.context:
             raise ValueError(f"mixed contexts: q = {self.context} vs {other.context} mod 4")
 
     def __add__(self, other: "WittK") -> "WittK":
-        self._same_context(other)
-        sigma = minus_one_class(self.context)
-        disc = self.disc * other.disc
-        if self.rank_parity and other.rank_parity:
-            disc = disc * sigma  # rank cross-term in the discriminant sign
-        return WittK((self.rank_parity + other.rank_parity) % 2, disc, self.context)
+        context = self.context
+        if type(other) is not WittK or other.context != context:
+            self._same_context(other)
+        a = self.code
+        b = other.code
+        if a & b & 1:
+            return _BY_CODE[context][a ^ b ^ context & 2]  # rank cross-term in the sign
+        return _BY_CODE[context][a ^ b]
 
     def __neg__(self) -> "WittK":
-        disc = self.disc
-        if self.rank_parity:
-            disc = disc * minus_one_class(self.context)
-        return WittK(self.rank_parity, disc, self.context)
+        if self.code & 1:
+            return _BY_CODE[self.context][self.code ^ self.context & 2]
+        return self
 
     def __sub__(self, other: "WittK") -> "WittK":
         return self + (-other)
 
     def __mul__(self, other: "WittK") -> "WittK":
-        self._same_context(other)
-        if self.rank_parity and other.rank_parity:
-            disc = minus_one_class(self.context) * self.disc * other.disc
-            return WittK(1, disc, self.context)
-        if self.rank_parity:
-            return WittK(0, other.disc, self.context)  # odd times even: the even survives
-        if other.rank_parity:
-            return WittK(0, self.disc, self.context)
-        return WittK.zero(self.context)  # even times even vanishes
+        context = self.context
+        if type(other) is not WittK or other.context != context:
+            self._same_context(other)
+        a = self.code
+        b = other.code
+        if a & b & 1:
+            return _BY_CODE[context][1 | ((a ^ b) & 2) ^ context & 2]
+        if a & 1:
+            return other  # odd times even: the even survives
+        if b & 1:
+            return self
+        return _BY_CODE[context][0]  # even times even vanishes
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, WittK):
             return NotImplemented
-        return (
-            self.rank_parity == other.rank_parity
-            and self.disc is other.disc
-            and self.context == other.context
-        )
+        return self.code == other.code and self.context == other.context
 
     def __hash__(self) -> int:
         return hash((self.rank_parity, self.disc, self.context))
@@ -168,6 +177,13 @@ class WittK:
 
     def __repr__(self) -> str:
         return f"{self} in W(k), q = {self.context} mod 4"
+
+
+# context -> the four values, indexed by code
+_BY_CODE = {
+    context: tuple(WittK(code & 1, _NS if code & 2 else _ONE, context) for code in range(4))
+    for context in (1, 3)
+}
 
 
 def from_concrete_form(f: DiagonalForm) -> WittK:

@@ -251,6 +251,16 @@ def test_max_search_flag(capsys):
     assert code == 0 and "rank 8 = 2*4 + 0" in out
 
 
+def test_negative_max_search_exits_2(capsys):
+    # <1> needs no isotropy search, so the bound is checked before any scan
+    diag = ("form-witt", "--q", "7", "--diag", "1")
+    code, out, err = run(capsys, *diag, "--max-search", "-5")
+    assert code == 2 and out == ""
+    assert err == "error: max_search must be >= 0, got -5\n"
+    code, out, _ = run(capsys, *diag, "--max-search", "0")
+    assert code == 0 and "rank 1 = 2*0 + 1" in out
+
+
 def test_closed_stdout_exits_without_traceback():
     # stdout is a pipe whose reader is already gone, as with `| head` once
     # head has exited, so the first write fails without any timing race

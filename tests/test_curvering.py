@@ -5,13 +5,17 @@ independent oracle; ring axioms are exhaustive at small rank and randomized
 at large rank per the stated bounds.
 """
 
+import copy
 import itertools
 import operator
+import pickle
 import random
+import tracemalloc
 
 import pytest
 
 from wittcurve.curve import (
+    INTERN_RANK,
     WittClass,
     enumerate_classes,
     reduce_word,
@@ -143,6 +147,10 @@ def test_enumerate_classes_counts():
             assert len(classes) == total
             assert len(set(classes)) == total
             assert sum(1 for c in classes if c.parity == "odd") == total // 2
+    # equal codes in another context or at another rank are other classes
+    c1 = enumerate_classes(1, Pic2Group(1))
+    assert not any(a == b for a in c1 for b in enumerate_classes(3, Pic2Group(1)))
+    assert not any(a == b for a in c1 for b in enumerate_classes(1, Pic2Group(2)))
     with pytest.raises(ValueError):
         enumerate_classes(1, Pic2Group(21))
 
@@ -411,3 +419,71 @@ def test_packed_fields_roundtrip_rank_20():
                     assert c.u is u
                     assert c.L == g.element(l) and c.L.rank == 20
                     assert c.rank == 20 and c.context == ctx
+
+
+def _random_model(rng, g):
+    return (rng.randrange(2), rng.randrange(2), rng.randrange(g.n))
+
+
+def test_packed_classes_match_model_across_the_intern_bound():
+    # r = INTERN_RANK returns table entries, one rank up allocates; both
+    # must agree with the model
+    rng = random.Random(1011)
+    for r in (INTERN_RANK, INTERN_RANK + 1):
+        g = Pic2Group(r)
+        for ctx in (1, 3):
+            for _ in range(2000):
+                _check_against_model(_random_model(rng, g), _random_model(rng, g), ctx, g)
+
+
+def test_results_are_interned_up_to_the_intern_bound():
+    rng = random.Random(1012)
+    for r, interned in ((0, True), (2, True), (INTERN_RANK, True), (INTERN_RANK + 1, False)):
+        g = Pic2Group(r)
+        for ctx in (1, 3):
+            for _ in range(200):
+                x, y = (_from_model(_random_model(rng, g), ctx, g) for _ in range(2))
+                assert ((x + y) is (x + y)) == interned
+                assert (x + y) == (x + y)
+                if x.parity == y.parity == "odd":
+                    assert ((x * y) is (x * y)) == interned
+
+
+def test_classes_above_the_intern_bound_allocate_without_a_table():
+    # a table at r = 20 would hold 4 * 2^20 classes; building classes and
+    # running 1000 operators must stay far below that
+    rng = random.Random(2021)
+    g = Pic2Group(20)
+    tracemalloc.start()
+    try:
+        pools = {
+            ctx: [_from_model(_random_model(rng, g), ctx, g) for _ in range(50)] for ctx in (1, 3)
+        }
+        ops = (operator.add, operator.mul, operator.sub)
+        results = [
+            rng.choice(ops)(*rng.choices(pools[ctx], k=2)) for ctx in (1, 3) for _ in range(500)
+        ]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(results) == 1000
+    assert peak < 1 << 20
+    assert all(c.ring.classes is None for pool in pools.values() for c in pool)
+
+
+def test_copies_equal_and_combine_with_their_originals():
+    # classes on each side of the intern bound, and every W(k) value
+    rng = random.Random(216)
+    values = []
+    for ctx in (1, 3):
+        values += WittK.elements(ctx)
+        values += enumerate_classes(ctx, Pic2Group(2))
+        g = Pic2Group(16)
+        pool = [_from_model(_random_model(rng, g), ctx, g) for _ in range(8)]
+        values += pool + [a + b for a in pool for b in pool]
+    for x in values:
+        for y in (copy.deepcopy(x), pickle.loads(pickle.dumps(x)), copy.copy(x)):
+            assert y == x and x == y
+            assert hash(y) == hash(x)
+            assert x + y == y + x == x + x
+            assert x * y == y * x == x * x

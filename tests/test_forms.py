@@ -275,6 +275,20 @@ def test_find_isotropic_respects_max_search():
     assert DEFAULT_MAX_SEARCH == 10**7
 
 
+def test_negative_max_search_is_rejected():
+    # a bound below 0 is an error even where no square test would run, and 0
+    # stays valid: rank 1 scans nothing, and <1, 1> over F_5 (-1 a square)
+    # splits as a pair without a scan
+    f5 = make_field(5)
+    for form in (df(f5, 1), df(f5, 1, 1), df(f5, 1, 2, 3)):
+        for call in (find_isotropic_vector, witt_decompose):
+            with pytest.raises(ValueError, match=r"^max_search must be >= 0, got -5$"):
+                call(form, max_search=-5)
+    assert find_isotropic_vector(df(f5, 1), max_search=0) is None
+    assert witt_decompose(df(f5, 1), max_search=0)[0] == 0
+    assert witt_decompose(df(f5, 1, 1), max_search=0)[0] == 1
+
+
 def test_find_isotropic_large_field_python_path():
     # q = 4099 exceeds TABLE_LIMIT, so the scan builds its elements on demand
     field = make_field(4099)

@@ -129,6 +129,32 @@ def test_ring_axioms_randomized_rank_4():
             assert a * b == b * a
 
 
+def test_results_hold_no_zero_coefficient_and_match_the_public_constructor():
+    # sums, differences and products skip the constructor's checks, so each
+    # must already be what the constructor would build from its terms
+    rng = random.Random(404)
+
+    def check(f, g):
+        for h in (f + g, f - g, f * g):
+            assert not any(c.is_zero() for _, c in h.terms())
+            rebuilt = GroupRingElement(h.context, h.group, h.terms())
+            assert h == rebuilt and rebuilt == h and hash(h) == hash(rebuilt)
+
+    for ctx in (1, 3):
+        for r in (0, 1):
+            for f, g in itertools.product(all_elements(ctx, Pic2Group(r)), repeat=2):
+                check(f, g)
+        g4 = Pic2Group(4)
+        letters = WittK.elements(ctx)
+
+        def rand_element():
+            support = rng.sample(range(g4.n), rng.randrange(g4.n + 1))
+            return GroupRingElement(ctx, g4, [(g4.element(L), rng.choice(letters)) for L in support])
+
+        for _ in range(200):
+            check(rand_element(), rand_element())
+
+
 def test_relation_generator_counts_and_trivial_case():
     assert len(relation_tuples(Pic2Group(0))) == 4
     assert len(relation_tuples(Pic2Group(1))) == 16

@@ -7,6 +7,7 @@ concrete forms is the authority; the symbolic tables must agree with it.
 """
 
 import itertools
+import operator
 import random
 
 import pytest
@@ -33,6 +34,8 @@ def test_four_distinct_elements():
             assert (a.rank_parity, a.disc) in {(0, ONE), (0, NS), (1, ONE), (1, NS)}
         assert WittK.zero(ctx).is_zero()
         assert not WittK.even(ctx).is_zero()
+    # equal codes in different contexts are different elements
+    assert not any(a == b for a in WittK.elements(1) for b in WittK.elements(3))
 
 
 def test_construction_validation():
@@ -42,10 +45,11 @@ def test_construction_validation():
         WittK(2, ONE, 1)
     with pytest.raises(TypeError):
         WittK(0, "1", 1)
-    with pytest.raises(ValueError):
-        WittK.zero(1) + WittK.zero(3)
-    with pytest.raises(TypeError):
-        WittK.zero(1) + 1
+    for op in (operator.add, operator.mul, operator.sub):
+        with pytest.raises(ValueError, match="mixed contexts: q = 1 vs 3 mod 4"):
+            op(WittK.zero(1), WittK.zero(3))
+        with pytest.raises(TypeError, match="expected WittK, got int"):
+            op(WittK.zero(1), 1)
 
 
 def test_addition_examples():
