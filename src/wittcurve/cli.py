@@ -26,7 +26,7 @@ import re
 import sys
 from typing import Optional, Sequence
 
-from .curve import WittClass, enumerate_classes, reduce_word, signed_discriminant_class
+from .curve import enumerate_classes, reduce_word, signed_discriminant_class
 from .fields import FieldElement, FiniteField, SquareClass, canonical_nonsquare, make_field
 from .forms import (
     DEFAULT_MAX_SEARCH,

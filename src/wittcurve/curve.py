@@ -33,35 +33,41 @@ INTERN_RANK = 10
 
 
 class _Ring:
-    """The classes of one rank r in one context q mod 4.
+    """The classes of one rank r in one context q mod 4, of one element type.
 
     flip is the u bit of sigma shifted into place (2 when q = 3 mod 4, else
-    0), and classes maps each code to its one interned class for
+    0), kind is the element type (WittClass, or WittK for the r = 0 ring of
+    W(k)), and classes maps each code to its one interned element for
     r <= INTERN_RANK and is None above.
     """
 
-    __slots__ = ("r", "context", "flip", "classes")
+    __slots__ = ("r", "context", "flip", "kind", "classes")
 
-    def __init__(self, r: int, context: int):
+    def __init__(self, r: int, context: int, kind: type):
         self.r = r
         self.context = context
         self.flip = 2 if context == 3 else 0
+        self.kind = kind
         self.classes = None
         if r <= INTERN_RANK:
             self.classes = [_of_code(code, self) for code in range(4 << r)]
 
     def __reduce__(self):
-        # copies and unpickled classes must share the cached ring, which
-        # class equality compares by identity
-        return (_ring, (self.r, self.context))
+        # copies and unpickled elements must share the cached ring, which
+        # equality compares by identity
+        return (_ring, (self.r, self.context, self.kind))
 
 
 @lru_cache(maxsize=None)
-def _ring(r: int, context: int) -> _Ring:
-    """The one ring of rank r in a context; the context must be 1 or 3."""
+def _ring(r: int, context: int, kind: type) -> _Ring:
+    """The one ring of rank r in a context; the context must be 1 or 3.
+
+    Pass all three arguments positionally: the cache keys a keyword call
+    apart from a positional one, which would build a second, unequal ring.
+    """
     if context not in (1, 3):
         raise ValueError(f"context must be 1 or 3, got {context}")
-    return _Ring(r, context)
+    return _Ring(r, context, kind)
 
 
 class WittClass:
@@ -82,7 +88,7 @@ class WittClass:
             raise TypeError("u must be a SquareClass")
         if not isinstance(L, PicElement):
             raise TypeError("L must be a PicElement")
-        self.ring = _ring(L.rank, context)  # validates the context
+        self.ring = _ring(L.rank, context, WittClass)  # validates the context
         self.code = (parity == "odd") | (u is _NS) << 1 | L.code << 2
 
     # constructors
@@ -105,10 +111,6 @@ class WittClass:
 
     @property
     def r(self) -> int:
-        return self.ring.r
-
-    @property
-    def rank(self) -> int:
         return self.ring.r
 
     @property
@@ -138,9 +140,9 @@ class WittClass:
 
     def _compatible(self, other: "WittClass") -> None:
         # the raising path of the operators, which first test inline that
-        # other is a class of the same ring
-        if not isinstance(other, WittClass):
-            raise TypeError(f"expected WittClass, got {type(other).__name__}")
+        # other is an element of the same type and ring
+        if type(other) is not type(self):
+            raise TypeError(f"expected {type(self).__name__}, got {type(other).__name__}")
         if self.context != other.context:
             raise ValueError(f"mixed contexts: {self.context} vs {other.context}")
         if self.r != other.r:
@@ -148,7 +150,7 @@ class WittClass:
 
     def __add__(self, other: "WittClass") -> "WittClass":
         ring = self.ring
-        if type(other) is not WittClass or other.ring is not ring:
+        if type(other) is not type(self) or other.ring is not ring:
             self._compatible(other)
         a = self.code
         b = other.code
@@ -166,7 +168,7 @@ class WittClass:
 
     def __mul__(self, other: "WittClass") -> "WittClass":
         ring = self.ring
-        if type(other) is not WittClass or other.ring is not ring:
+        if type(other) is not type(self) or other.ring is not ring:
             self._compatible(other)
         a = self.code
         b = other.code
@@ -223,7 +225,7 @@ def _of_code(code: int, ring: _Ring) -> WittClass:
     classes = ring.classes
     if classes is not None:
         return classes[code]
-    c = _new(WittClass)
+    c = _new(ring.kind)
     c.code = code
     c.ring = ring
     return c
@@ -246,7 +248,7 @@ def enumerate_classes(
 ) -> list[WittClass]:
     """All 4·2^r classes: the odd block (u = 1 then u = s), then the even block."""
     bundles = group.enumerate(bound)
-    ring = _ring(group.r, context)  # validates the context
+    ring = _ring(group.r, context, WittClass)  # validates the context
     return [
         _of_code(odd | u_bit << 1 | L.code << 2, ring)
         for odd in (1, 0)
@@ -267,16 +269,24 @@ def reduce_word(
     word length mod 2 and whose line bundle part is the product of the
     letters' L components.
     """
-    ring = _ring(group.r, context)  # validates the context
-    flip = ring.flip
-    code = 0
+    ring = _ring(group.r, context, WittClass)  # validates the context
+    letters = []
     for u, L in word:
         if L.rank != group.r:
             raise ValueError(f"letter rank {L.rank} does not match group rank {group.r}")
         if not isinstance(u, SquareClass):
             raise TypeError("u must be a SquareClass")
-        # add the odd letter <u>L: odd + odd flips the u bit when q = 3 mod 4
-        code ^= 1 | (u is _NS) << 1 | L.code << 2
+        letters.append(1 | (u is _NS) << 1 | L.code << 2)
+    return _fold(letters, ring)
+
+
+def _fold(letter_codes: Iterable[int], ring: _Ring) -> WittClass:
+    """The sum of odd letters, given by their codes, in a ring of classes."""
+    flip = ring.flip
+    code = 0
+    for letter in letter_codes:
+        # add the odd letter: odd + odd flips the u bit when q = 3 mod 4
+        code ^= letter
         if not code & 1:
             code ^= flip
     return _of_code(code, ring)

@@ -10,12 +10,15 @@ elements) that the ideal can be materialized by brute-force closure, giving
 an unimpeachable membership oracle; normal_form gives the O(support)
 arithmetic answer that the oracle certifies.
 
-Elements are encoded for the closure as one base-4 digit per group slot
-(the coefficient's WittK code, rank parity plus discriminant bit), so the additive closure runs as
-table lookups over small numpy arrays.  Only this brute-force certification
-uses numpy, so it is imported inside the functions that run it: importing
-the package, and with it every CLI run that does not certify, stays free of
-numpy's import cost.
+An element stores its coefficients as a map from group slot (the bundle
+code of L) to interned W(k) values, so the product of slots L and M is the
+slot L ^ M; PicElement appears only at the API boundary (construction,
+coefficient, terms).  Elements are encoded for the closure as one base-4
+digit per group slot (the coefficient's class code, odd | u_bit << 1), so
+the additive closure runs as table lookups over small numpy arrays.  Only
+this brute-force certification uses numpy, so it is imported inside the
+functions that run it: importing the package, and with it every CLI run
+that does not certify, stays free of numpy's import cost.
 """
 
 from __future__ import annotations
@@ -24,10 +27,10 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .curve import WittClass, reduce_word
+from .curve import WittClass, _fold, _ring
 from .fields import SquareClass
 from .pic2 import Pic2Group, PicElement
-from .wittk import _BY_CODE, WittK
+from .wittk import WittK
 
 if TYPE_CHECKING:
     import numpy as np
@@ -54,7 +57,7 @@ class GroupRingElement:
         if context not in (1, 3):
             raise ValueError(f"context must be 1 or 3, got {context}")
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        clean: dict[PicElement, WittK] = {}
+        clean: dict[int, WittK] = {}
         for L, c in items:
             if not isinstance(L, PicElement) or L.rank != group.r:
                 raise ValueError(f"support element {L!r} does not belong to {group!r}")
@@ -62,10 +65,10 @@ class GroupRingElement:
                 raise TypeError("coefficients must be WittK values")
             if c.context != context:
                 raise ValueError(f"coefficient context {c.context} != element context {context}")
-            if L in clean:
+            if L.code in clean:
                 raise ValueError(f"duplicate support element {L!r}")
             if not c.is_zero():
-                clean[L] = c
+                clean[L.code] = c.ring.classes[c.code]
         self.context = context
         self.group = group
         self._coeffs = clean
@@ -79,11 +82,15 @@ class GroupRingElement:
         return GroupRingElement(c.context, group, [(L, c)])
 
     def coefficient(self, L: PicElement) -> WittK:
-        return self._coeffs.get(L, WittK.zero(self.context))
+        zero = WittK.zero(self.context)
+        if not isinstance(L, PicElement) or L.rank != self.group.r:
+            return zero
+        return self._coeffs.get(L.code, zero)
 
     def terms(self) -> list[tuple[PicElement, WittK]]:
         """Support terms ordered by group element code."""
-        return sorted(self._coeffs.items(), key=lambda t: t[0].code)
+        r = self.group.r
+        return [(PicElement(r, slot), self._coeffs[slot]) for slot in sorted(self._coeffs)]
 
     def support_size(self) -> int:
         return len(self._coeffs)
@@ -119,10 +126,10 @@ class GroupRingElement:
 
     def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
         self._compatible(other)
-        out: dict[PicElement, WittK] = {}
+        out: dict[int, WittK] = {}
         for L, c in self._coeffs.items():
             for M, d in other._coeffs.items():
-                N = L * M
+                N = L ^ M
                 prod = c * d
                 acc = out.get(N)
                 total = prod if acc is None else acc + prod
@@ -169,9 +176,7 @@ class GroupRingElement:
         return GroupRingElement(context, group, terms)
 
 
-def _of_terms(
-    context: int, group: Pic2Group, coeffs: dict[PicElement, WittK]
-) -> GroupRingElement:
+def _of_terms(context: int, group: Pic2Group, coeffs: dict[int, WittK]) -> GroupRingElement:
     # unchecked constructor, only for nonzero coefficients computed from
     # validated elements
     f = _new(GroupRingElement)
@@ -230,11 +235,11 @@ def relation_generators(context: int, group: Pic2Group) -> list[GroupRingElement
 
 # encoded arithmetic: one base-4 digit per group slot
 
-def _code_tables(context: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[WittK, ...]]:
-    """(add, mul, neg) tables over the 4 coefficient codes, plus code -> WittK."""
+def _code_tables(context: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[WittK]]:
+    """(add, mul, neg) tables over the 4 coefficient codes, plus the W(k) table by code."""
     import numpy as np
 
-    by_code = _BY_CODE[context]
+    by_code = _ring(0, context, WittK).classes
     add = np.zeros((4, 4), dtype=np.uint8)
     mul = np.zeros((4, 4), dtype=np.uint8)
     neg = np.zeros(4, dtype=np.uint8)
@@ -248,19 +253,15 @@ def _code_tables(context: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tupl
 
 def _encode(f: GroupRingElement) -> list[int]:
     out = [0] * f.group.n
-    for L, c in f._coeffs.items():
-        out[L.code] = c.code
+    for slot, c in f._coeffs.items():
+        out[slot] = c.code
     return out
 
 
 def _decode(
-    codes: Iterable[int], context: int, group: Pic2Group, by_code: tuple[WittK, ...]
+    codes: Iterable[int], context: int, group: Pic2Group, by_code: list[WittK]
 ) -> GroupRingElement:
-    terms = {
-        PicElement(group.r, slot): by_code[int(code)]
-        for slot, code in enumerate(codes)
-        if code
-    }
+    terms = {slot: by_code[int(code)] for slot, code in enumerate(codes) if code}
     return _of_terms(context, group, terms)
 
 
@@ -320,11 +321,10 @@ def normal_form(f: GroupRingElement) -> WittClass:
     is attached to its support element, and the word is folded by the curve
     addition table.  This is constant on cosets of the relation ideal.
     """
-    word = []
-    for L, c in f.terms():
-        for u in c.unit_diagonal():
-            word.append((u, L))
-    return reduce_word(word, f.context, f.group)
+    letters = [
+        1 | (u is _NS) << 1 | slot << 2 for slot, c in f._coeffs.items() for u in c.unit_diagonal()
+    ]
+    return _fold(letters, _ring(f.group.r, f.context, WittClass))
 
 
 def all_elements(context: int, group: Pic2Group) -> list[GroupRingElement]:

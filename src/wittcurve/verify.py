@@ -19,13 +19,14 @@ from .forms import (
     DiagonalForm,
     find_isotropic_vector,
     orthogonal_sum,
+    tensor_product,
     witt_decompose,
     witt_equal,
     witt_invariants,
 )
 from .groupring import verify_isomorphism
 from .pic2 import Pic2Group
-from .wittk import WittK, from_concrete_form, verify_bullets
+from .wittk import WittK, verify_bullets
 
 _ONE, _NS = SquareClass.ONE, SquareClass.NONSQUARE
 
@@ -401,23 +402,38 @@ def presentation_isomorphism() -> list[CheckResult]:
 
 
 def rank_zero_degeneration() -> list[CheckResult]:
-    """The r = 0 tables coincide with the base ring under the evident bijection."""
+    """The r = 0 class ring is W(k): its tables agree with concrete forms.
+
+    Each r = 0 class is read through its parity and twist u and built as a
+    form over every sample field of its context, odd as <u> and even as
+    <1, -u>; the four forms must have distinct invariants, and the sum and
+    product tables must match orthogonal sum and tensor product.
+    """
     out = []
-    group = Pic2Group(0)
+    fields = [make_field(p, e) for p, e in BULLET_FIELDS]
     for context in (1, 3):
-
-        def phi(c: WittClass) -> WittK:
-            if c.parity == "odd":
-                return WittK.of_unit(c.u, context)
-            return WittK.zero(context) if c.u is _ONE else WittK.even(context)
-
-        classes = enumerate_classes(context, group)
-        ok = len({phi(c) for c in classes}) == 4
+        classes = enumerate_classes(context, Pic2Group(0))
+        ok = True
         bad = None
-        for a, b in itertools.product(classes, repeat=2):
-            if phi(a + b) != phi(a) + phi(b) or phi(a * b) != phi(a) * phi(b):
+        for field in fields:
+            if field.q % 4 != context:
+                continue
+            one, s = field.one, canonical_nonsquare(field)
+            forms = {}
+            for c in classes:
+                u = one if c.u is _ONE else s
+                forms[c] = DiagonalForm(field, (u,) if c.parity == "odd" else (one, -u))
+            invariants = {c: witt_invariants(f) for c, f in forms.items()}
+            if len(set(invariants.values())) != 4:
                 ok = False
-                bad = (a, b)
+            for a, b in itertools.product(classes, repeat=2):
+                fa, fb = forms[a], forms[b]
+                if (
+                    witt_invariants(orthogonal_sum(fa, fb)) != invariants[a + b]
+                    or witt_invariants(tensor_product(fa, fb)) != invariants[a * b]
+                ):
+                    ok = False
+                    bad = (a, b)
         out.append(
             CheckResult(
                 f"r = 0 degeneration, q = {context} context",

@@ -1,8 +1,8 @@
 """Tests for canonical Witt class arithmetic on a curve.
 
-The r = 0 degeneration is checked against the four-element base ring as an
-independent oracle; ring axioms are exhaustive at small rank and randomized
-at large rank per the stated bounds.
+The four-element base ring is the r = 0 class ring with the same code,
+which the r = 0 tests pin; ring axioms are exhaustive at small rank and
+randomized at large rank per the stated bounds.
 """
 
 import copy
@@ -23,7 +23,12 @@ from wittcurve.curve import (
 )
 from wittcurve.fields import SquareClass, minus_one_class
 from wittcurve.pic2 import Pic2Group
-from wittcurve.verify import _axioms_hold, _random_axiom_counterexample, curve_ring_axioms
+from wittcurve.verify import (
+    _axioms_hold,
+    _random_axiom_counterexample,
+    curve_ring_axioms,
+    rank_zero_degeneration,
+)
 from wittcurve.wittk import WittK
 
 ONE, NS = SquareClass.ONE, SquareClass.NONSQUARE
@@ -48,6 +53,11 @@ def test_construction_validation():
             op(a, WittClass.one(1, Pic2Group(3)))
         with pytest.raises(TypeError, match="expected WittClass, got int"):
             op(a, 7)
+        c = WittClass.one(1, Pic2Group(0))
+        with pytest.raises(TypeError, match="expected WittClass, got WittK"):
+            op(c, WittK.one(1))
+        with pytest.raises(TypeError, match="expected WittK, got WittClass"):
+            op(WittK.one(1), c)
 
 
 def test_zero_and_one():
@@ -231,6 +241,53 @@ def test_r0_degeneration_is_base_ring():
             assert phi(a + b) == phi(a) + phi(b)
             assert phi(a * b) == phi(a) * phi(b)
         assert phi(WittClass.zero(ctx, g)).is_zero()
+        # one encoding: the W(k) values carry the codes of the r = 0 classes
+        O = g.identity
+        for u in (ONE, NS):
+            assert WittK.of_unit(u, ctx).code == WittClass.odd(u, O, ctx).code
+        assert WittK.zero(ctx).code == WittClass.zero(ctx, g).code
+        assert WittK.even(ctx).code == WittClass.even(NS, O, ctx).code
+        # the named constructors return the one interned value of each code
+        values = WittK.elements(ctx)
+        assert values == (WittK.zero(ctx), WittK.one(ctx), WittK.s(ctx), WittK.even(ctx))
+        for x in values:
+            assert WittK.from_letter(x.letter, ctx) is x
+            assert WittK.elements(ctx)[values.index(x)] is x
+        for name in ("zero", "one", "s", "even"):
+            assert getattr(WittK, name)(ctx) is getattr(WittK, name)(ctx)
+        assert WittK.of_unit(ONE, ctx) is WittK.one(ctx)
+        assert WittK.of_unit(NS, ctx) is WittK.s(ctx)
+        # the public constructor reads (rank parity, signed discriminant)
+        for rank_parity in (0, 1):
+            for disc in (ONE, NS):
+                x = WittK(rank_parity, disc, ctx)
+                assert (x.rank_parity, x.disc) == (rank_parity, disc)
+                assert x in values
+
+
+def test_rank_zero_degeneration_catches_table_defects(monkeypatch):
+    # criterion 10 reads the r = 0 tables against concrete forms, so a
+    # defect in the class operators shows even though W(k) shares them
+    mul, add = WittClass.__mul__, WittClass.__add__
+
+    def odd_products_are_one(self, other):
+        if self.code & other.code & 1:
+            return WittClass.one(self.context, Pic2Group(self.r))
+        return mul(self, other)
+
+    monkeypatch.setattr(WittClass, "__mul__", odd_products_are_one)
+    assert not any(result.passed for result in rank_zero_degeneration())
+    monkeypatch.setattr(WittClass, "__mul__", mul)
+
+    def sum_without_flip(self, other):
+        if self.code & other.code & 1:
+            return WittClass.even(self.u * other.u, self.L * other.L, self.context)
+        return add(self, other)
+
+    monkeypatch.setattr(WittClass, "__add__", sum_without_flip)
+    passed = {result.name: result.passed for result in rank_zero_degeneration()}
+    assert not passed["r = 0 degeneration, q = 3 context"]
+    assert passed["r = 0 degeneration, q = 1 context"]
 
 
 def test_reduce_word_basics():
@@ -418,7 +475,7 @@ def test_packed_fields_roundtrip_rank_20():
                     assert c.parity == parity
                     assert c.u is u
                     assert c.L == g.element(l) and c.L.rank == 20
-                    assert c.rank == 20 and c.context == ctx
+                    assert c.r == 20 and c.context == ctx
 
 
 def _random_model(rng, g):

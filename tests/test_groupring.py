@@ -23,7 +23,7 @@ from wittcurve.groupring import (
     relation_tuples,
     verify_isomorphism,
 )
-from wittcurve.pic2 import Pic2Group
+from wittcurve.pic2 import Pic2Group, PicElement
 from wittcurve.wittk import WittK
 
 ONE, NS = SquareClass.ONE, SquareClass.NONSQUARE
@@ -53,6 +53,16 @@ def test_construction_and_validation():
         GroupRingElement(1, g, [(g.identity, WittK.one(1)), (g.identity, WittK.s(1))])
     with pytest.raises(TypeError):
         GroupRingElement(1, g, [(g.identity, 1)])
+    # an r = 0 curve class has a W(k) code but is not a W(k) value
+    with pytest.raises(TypeError):
+        GroupRingElement(1, g, [(g.identity, WittClass.one(1, Pic2Group(0)))])
+    # coefficients are stored by slot: a bundle of another rank with the
+    # same code has no coefficient, and terms() gives back the bundles
+    assert f.coefficient(Pic2Group(3).element(2)).is_zero()
+    assert f.coefficient(Pic2Group(1).element(1)).is_zero()
+    terms = (mono(WittK.s(1), g.element("11"), g) + f).terms()
+    assert terms == [(g.element("10"), WittK.one(1)), (g.element("11"), WittK.s(1))]
+    assert all(type(L) is PicElement for L, _ in terms)
     with pytest.raises(ValueError):
         f + GroupRingElement.zero(3, Pic2Group(2))
     with pytest.raises(ValueError):

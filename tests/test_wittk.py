@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from wittcurve.curve import WittClass
 from wittcurve.fields import SquareClass, canonical_nonsquare, make_field
 from wittcurve.forms import (
     DiagonalForm,
@@ -20,6 +21,7 @@ from wittcurve.forms import (
     tensor_product,
     witt_equal,
 )
+from wittcurve.pic2 import Pic2Group
 from wittcurve.wittk import WittK, from_concrete_form, verify_bullets
 
 ONE, NS = SquareClass.ONE, SquareClass.NONSQUARE
@@ -50,6 +52,13 @@ def test_construction_validation():
             op(WittK.zero(1), WittK.zero(3))
         with pytest.raises(TypeError, match="expected WittK, got int"):
             op(WittK.zero(1), 1)
+        # W(k) is the r = 0 class ring, but its values and r = 0 curve
+        # classes are kept apart by type
+        with pytest.raises(TypeError, match="expected WittK, got WittClass"):
+            op(WittK.one(1), WittClass.one(1, Pic2Group(0)))
+        with pytest.raises(TypeError, match="expected WittClass, got WittK"):
+            op(WittClass.one(1, Pic2Group(0)), WittK.one(1))
+    assert WittK.one(1) != WittClass.one(1, Pic2Group(0))
 
 
 def test_addition_examples():
