@@ -24,23 +24,16 @@ import json
 import os
 import re
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .curve import enumerate_classes, reduce_word, signed_discriminant_class
+# every subcommand parses --q and words name Pic2Group elements, so only
+# these two layers load with the module; each cmd_* imports the layers it
+# calls, and a cold start pays for no other
 from .fields import FieldElement, FiniteField, SquareClass, canonical_nonsquare, make_field
-from .forms import (
-    DEFAULT_MAX_SEARCH,
-    DegenerateFormError,
-    DiagonalForm,
-    GramForm,
-    diagonalize_with_basis,
-    signed_discriminant,
-    witt_decompose,
-)
-from .groupring import GroupRingElement, normal_form
 from .pic2 import Pic2Group
-from .verify import run_all
-from .wittk import WittK, from_concrete_form, verify_bullets
+
+if TYPE_CHECKING:
+    from .forms import DiagonalForm, GramForm
 
 MAX_TABLE_RANK = 4
 MAX_WORD_RANK = 20
@@ -104,6 +97,8 @@ def _parse_entry(field: FiniteField, text: str) -> FieldElement:
 
 
 def _parse_gram(field: FiniteField, text: str) -> GramForm:
+    from .forms import GramForm
+
     rows = []
     for row_text in _split_top(text, ";"):
         row = [_parse_entry(field, cell) for cell in _split_top(row_text, ",") if cell.strip()]
@@ -115,6 +110,8 @@ def _parse_gram(field: FiniteField, text: str) -> GramForm:
 
 
 def _parse_diag(field: FiniteField, text: str) -> DiagonalForm:
+    from .forms import DiagonalForm
+
     entries = [_parse_entry(field, cell) for cell in _split_top(text, ",") if cell.strip()]
     try:
         return DiagonalForm(field, tuple(entries))
@@ -190,6 +187,8 @@ def cmd_field_info(args) -> int:
 
 
 def _wittk_tables(context: int):
+    from .wittk import WittK
+
     elems = WittK.elements(context)
     labels = [str(a) for a in elems]
     add = [[str(a + b) for b in elems] for a in elems]
@@ -208,6 +207,8 @@ def _render_table(labels: Sequence[str], cells: Sequence[Sequence[str]], op: str
 
 
 def cmd_wittk_table(args) -> int:
+    from .wittk import verify_bullets
+
     field = _parse_q(_require(args, "--q"))
     context = field.q % 4
     labels, add, mul = _wittk_tables(context)
@@ -231,6 +232,8 @@ def cmd_wittk_table(args) -> int:
 
 
 def cmd_form_diag(args) -> int:
+    from .forms import DegenerateFormError, diagonalize_with_basis
+
     field = _parse_q(_require(args, "--q"))
     gram = _parse_gram(field, _require(args, "--gram"))
     try:
@@ -250,6 +253,15 @@ def cmd_form_diag(args) -> int:
 
 
 def cmd_form_witt(args) -> int:
+    from .forms import (
+        DEFAULT_MAX_SEARCH,
+        DegenerateFormError,
+        diagonalize_with_basis,
+        signed_discriminant,
+        witt_decompose,
+    )
+    from .wittk import from_concrete_form
+
     field = _parse_q(_require(args, "--q"))
     if args.diag is not None:
         form = _parse_diag(field, args.diag)
@@ -260,7 +272,8 @@ def cmd_form_witt(args) -> int:
             raise CLIError(str(exc)) from None
     else:
         raise CLIError("form-witt needs --diag or --gram")
-    hyper, kernel = witt_decompose(form, args.max_search)
+    max_search = DEFAULT_MAX_SEARCH if args.max_search is None else args.max_search
+    hyper, kernel = witt_decompose(form, max_search)
     cls = from_concrete_form(form)
     payload = {
         "q": field.q,
@@ -283,6 +296,8 @@ def cmd_form_witt(args) -> int:
 
 
 def cmd_curve_table(args) -> int:
+    from .curve import enumerate_classes
+
     field = _parse_q(_require(args, "--q"))
     r = _require(args, "--r")
     _check_rank(r, MAX_TABLE_RANK, "curve-table")
@@ -311,6 +326,8 @@ def cmd_curve_table(args) -> int:
 
 
 def cmd_curve_eval(args) -> int:
+    from .curve import reduce_word, signed_discriminant_class
+
     field = _parse_q(_require(args, "--q"))
     r = _require(args, "--r")
     _check_rank(r, MAX_WORD_RANK, "curve-eval")
@@ -338,6 +355,9 @@ def cmd_curve_eval(args) -> int:
 
 
 def cmd_curve_normal_form(args) -> int:
+    from .groupring import GroupRingElement, normal_form
+    from .wittk import WittK
+
     field = _parse_q(_require(args, "--q"))
     r = _require(args, "--r")
     _check_rank(r, MAX_WORD_RANK, "curve-normal-form")
@@ -367,6 +387,8 @@ def cmd_curve_normal_form(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_all
+
     results = run_all()
     passed = sum(1 for r in results if r.passed)
     payload = {
@@ -415,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--max-search",
             type=int,
-            default=DEFAULT_MAX_SEARCH,
             dest="max_search",
             help="cap on square tests per isotropy search",
         )

@@ -37,20 +37,22 @@ class _Ring:
 
     flip is the u bit of sigma shifted into place (2 when q = 3 mod 4, else
     0), kind is the element type (WittClass, or WittK for the r = 0 ring of
-    W(k)), and classes maps each code to its one interned element for
-    r <= INTERN_RANK and is None above.
+    W(k)), classes maps each code to its one interned element and bundles
+    each bundle code to its one interned PicElement, both for
+    r <= INTERN_RANK and None above.
     """
 
-    __slots__ = ("r", "context", "flip", "kind", "classes")
+    __slots__ = ("r", "context", "flip", "kind", "classes", "bundles")
 
     def __init__(self, r: int, context: int, kind: type):
         self.r = r
         self.context = context
         self.flip = 2 if context == 3 else 0
         self.kind = kind
-        self.classes = None
+        self.classes = self.bundles = None
         if r <= INTERN_RANK:
             self.classes = [_of_code(code, self) for code in range(4 << r)]
+            self.bundles = [PicElement(r, code) for code in range(1 << r)]
 
     def __reduce__(self):
         # copies and unpickled elements must share the cached ring, which
@@ -127,6 +129,9 @@ class WittClass:
 
     @property
     def L(self) -> PicElement:
+        bundles = self.ring.bundles
+        if bundles is not None:
+            return bundles[self.code >> 2]
         return PicElement(self.r, self.code >> 2)
 
     def is_zero(self) -> bool:

@@ -17,8 +17,7 @@ every value, so any scan makes at most q + 1 square tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .fields import (
     FieldElement,
@@ -138,8 +137,7 @@ def _diagonal(field: FiniteField, entries: tuple[FieldElement, ...]) -> Diagonal
     return f
 
 
-@dataclass(frozen=True)
-class WittInvariants:
+class WittInvariants(NamedTuple):
     """The complete pair of Witt-class invariants over a finite field."""
 
     rank_parity: int

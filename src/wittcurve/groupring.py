@@ -24,8 +24,7 @@ that does not certify, stays free of numpy's import cost.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .curve import WittClass, _fold, _ring
 from .fields import SquareClass
@@ -186,8 +185,7 @@ def _of_terms(context: int, group: Pic2Group, coeffs: dict[int, WittK]) -> Group
     return f
 
 
-@dataclass(frozen=True)
-class RelationGenerator:
+class RelationGenerator(NamedTuple):
     """The datum (u, v, L, M) of the relation <1> - <u>L - <v>M + <uv>LM."""
 
     u: SquareClass

@@ -197,20 +197,20 @@ def test_curve_normal_form_nonideal(capsys):
 
 
 def test_verify_reporting(monkeypatch, capsys):
-    import wittcurve.cli as cli
+    import wittcurve.verify as verify
 
     fake = [
         CheckResult("alpha", True, "fine"),
         CheckResult("beta", False, "counterexample: x"),
     ]
-    monkeypatch.setattr(cli, "run_all", lambda: fake)
+    monkeypatch.setattr(verify, "run_all", lambda: fake)
     code, out, _ = run(capsys, "verify")
     assert code == 1
     assert "PASS  alpha" in out and "FAIL  beta" in out
     assert "1/2 checks passed" in out
     assert "counterexample: beta" in out
 
-    monkeypatch.setattr(cli, "run_all", lambda: fake[:1])
+    monkeypatch.setattr(verify, "run_all", lambda: fake[:1])
     code, data, _ = run_json(capsys, "verify")
     assert code == 0
     assert data["passed"] == 1 and data["total"] == 1
@@ -239,6 +239,42 @@ def test_cold_start_does_not_import_numpy():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+# the library modules each subcommand loads beyond wittcurve, wittcurve.cli,
+# wittcurve.fields and wittcurve.pic2
+SUBCOMMAND_LAYERS = [
+    (["field-info", "--q", "7"], []),
+    (["curve-table", "--q", "7", "--r", "2"], ["curve"]),
+    (["curve-eval", "--q", "7", "--r", "2", "--word", "(1,01);(s,11)"], ["curve"]),
+    (["form-diag", "--q", "7", "--gram", "0,1;1,0"], ["forms"]),
+    (["form-witt", "--q", "7", "--diag", "1,2"], ["curve", "forms", "wittk"]),
+    (["wittk-table", "--q", "5"], ["curve", "forms", "wittk"]),
+    (["curve-normal-form", "--q", "13", "--r", "1", "--word", "(1,0);(s,1)"],
+     ["curve", "forms", "groupring", "wittk"]),
+]
+
+
+def test_each_subcommand_loads_only_its_layers():
+    # a fresh interpreter per subcommand, so no module is left over from
+    # another run; dataclasses and numpy serve only `verify`
+    script = (
+        "import sys\n"
+        "from wittcurve.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, *sorted(m for m in sys.modules\n"
+        "                    if m.startswith('wittcurve') or m in ('dataclasses', 'numpy')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(wittcurve.__file__).parents[1]))
+    for argv, layers in SUBCOMMAND_LAYERS:
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = proc.stdout.splitlines()[-1].split()
+        expected = ["wittcurve", "wittcurve.cli", "wittcurve.fields", "wittcurve.pic2"]
+        expected += [f"wittcurve.{layer}" for layer in layers]
+        assert loaded == ["0", *sorted(expected)], argv[0]
 
 
 def test_max_search_flag(capsys):

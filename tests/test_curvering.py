@@ -506,6 +506,19 @@ def test_results_are_interned_up_to_the_intern_bound():
                     assert ((x * y) is (x * y)) == interned
 
 
+def test_bundles_are_interned_up_to_the_intern_bound():
+    # L reads the ring's bundle table up to the bound and allocates above
+    # it; copies and pickles share the ring, so they share the table
+    for r, interned in ((0, True), (INTERN_RANK, True), (INTERN_RANK + 1, False)):
+        g = Pic2Group(r)
+        for ctx in (1, 3):
+            for c in (WittClass.odd(NS, g.element(g.n - 1), ctx), WittClass.zero(ctx, g)):
+                assert (c.L is c.L) == interned and c.L == c.L
+                for y in (copy.deepcopy(c), pickle.loads(pickle.dumps(c)), copy.copy(c)):
+                    assert y == c and y.L == c.L
+                    assert (y.L is c.L) == interned
+
+
 def test_classes_above_the_intern_bound_allocate_without_a_table():
     # a table at r = 20 would hold 4 * 2^20 classes; building classes and
     # running 1000 operators must stay far below that

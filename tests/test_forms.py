@@ -181,6 +181,15 @@ def test_witt_invariants_value():
     assert inv == WittInvariants(1, ONE)  # exponent 6 even, det 1
 
 
+def test_witt_invariants_is_an_immutable_value():
+    inv = WittInvariants(1, ONE)
+    assert inv == WittInvariants(1, ONE) and inv != WittInvariants(1, NS)
+    assert hash(inv) == hash(WittInvariants(1, ONE))
+    assert repr(inv) == "WittInvariants(rank_parity=1, signed_disc=<SquareClass.ONE: '1'>)"
+    with pytest.raises(AttributeError):
+        inv.rank_parity = 0
+
+
 def test_orthogonal_sum_and_tensor():
     f5 = make_field(5)
     assert orthogonal_sum(df(f5, 1), df(f5, 2)) == df(f5, 1, 2)

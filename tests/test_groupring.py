@@ -188,6 +188,20 @@ def test_relation_generator_frozen_value():
     assert e3.is_zero()
 
 
+def test_relation_generator_is_an_immutable_value():
+    g = Pic2Group(1)
+    gen = RelationGenerator(ONE, NS, g.element("1"), g.identity)
+    same = RelationGenerator(ONE, NS, g.element("1"), g.identity)
+    assert gen == same and gen != RelationGenerator(ONE, ONE, g.element("1"), g.identity)
+    assert hash(gen) == hash(same)
+    assert repr(gen) == (
+        "RelationGenerator(u=<SquareClass.ONE: '1'>, v=<SquareClass.NONSQUARE: 's'>,"
+        " L=PicElement(1), M=PicElement(0))"
+    )
+    with pytest.raises(AttributeError):
+        gen.u = NS
+
+
 def test_relation_generator_str():
     g = Pic2Group(2)
     gen = RelationGenerator(ONE, NS, g.element("10"), g.element("01"))
