@@ -29,7 +29,14 @@ from typing import TYPE_CHECKING, Optional, Sequence
 # every subcommand parses --q and words name Pic2Group elements, so only
 # these two layers load with the module; each cmd_* imports the layers it
 # calls, and a cold start pays for no other
-from .fields import FieldElement, FiniteField, SquareClass, canonical_nonsquare, make_field
+from .fields import (
+    DEFAULT_CARDINALITY_BOUND,
+    FieldElement,
+    FiniteField,
+    SquareClass,
+    canonical_nonsquare,
+    make_field,
+)
 from .pic2 import Pic2Group
 
 if TYPE_CHECKING:
@@ -48,8 +55,9 @@ def _parse_q(text: str) -> FiniteField:
     if not m:
         raise CLIError(f"q must look like 'p' or 'p^e', got {text!r}")
     p, e = int(m.group(1)), int(m.group(2) or 1)
-    if e == 1 and p > 4:
-        # accept a literal prime power such as 9 or 27
+    if e == 1 and 4 < p <= DEFAULT_CARDINALITY_BOUND:
+        # accept a literal prime power such as 9 or 27; above the bound
+        # make_field refuses p anyway, and the search would take O(sqrt(p))
         for base in range(2, int(p**0.5) + 1):
             k, power = 0, 1
             while power < p:
@@ -254,7 +262,6 @@ def cmd_form_diag(args) -> int:
 
 def cmd_form_witt(args) -> int:
     from .forms import (
-        DEFAULT_MAX_SEARCH,
         DegenerateFormError,
         diagonalize_with_basis,
         signed_discriminant,
@@ -272,8 +279,7 @@ def cmd_form_witt(args) -> int:
             raise CLIError(str(exc)) from None
     else:
         raise CLIError("form-witt needs --diag or --gram")
-    max_search = DEFAULT_MAX_SEARCH if args.max_search is None else args.max_search
-    hyper, kernel = witt_decompose(form, max_search)
+    hyper, kernel = witt_decompose(form)
     cls = from_concrete_form(form)
     payload = {
         "q": field.q,
@@ -434,12 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--diag", help="diagonal form entries, ','-separated")
         p.add_argument("--word", help="word of rank-one classes, e.g. '(1,01);(s,11)'")
         p.add_argument("--json", action="store_true", help="emit a JSON document")
-        p.add_argument(
-            "--max-search",
-            type=int,
-            dest="max_search",
-            help="cap on square tests per isotropy search",
-        )
     return parser
 
 

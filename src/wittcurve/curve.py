@@ -69,6 +69,8 @@ def _ring(r: int, context: int, kind: type) -> _Ring:
     """
     if context not in (1, 3):
         raise ValueError(f"context must be 1 or 3, got {context}")
+    if r and kind is not WittClass:
+        raise TypeError(f"{kind.__name__} has only the r = 0 ring, got r = {r}")
     return _Ring(r, context, kind)
 
 
@@ -95,9 +97,10 @@ class WittClass:
 
     # constructors
 
-    @staticmethod
-    def odd(u: SquareClass, L: PicElement, context: int) -> "WittClass":
-        return WittClass("odd", u, L, context)
+    @classmethod
+    def odd(cls, u: SquareClass, L: PicElement, context: int) -> "WittClass":
+        """The odd class <u> on L, as an element of cls (a WittK needs r = 0)."""
+        return _of_code(WittClass("odd", u, L, context).code, _ring(L.rank, context, cls))
 
     @staticmethod
     def even(u: SquareClass, L: PicElement, context: int) -> "WittClass":
@@ -215,14 +218,10 @@ class WittClass:
     def to_json(self) -> dict:
         return {"parity": self.parity, "u": str(self.u), "L": str(self.L)}
 
-    @staticmethod
-    def from_json(data: dict, context: int, group: Pic2Group) -> "WittClass":
-        return WittClass(
-            data["parity"],
-            SquareClass.from_string(data["u"]),
-            group.element(data["L"]),
-            context,
-        )
+    @classmethod
+    def from_json(cls, data: dict, context: int, group: Pic2Group) -> "WittClass":
+        u, L = SquareClass.from_string(data["u"]), group.element(data["L"])
+        return _of_code(WittClass(data["parity"], u, L, context).code, _ring(group.r, context, cls))
 
 
 def _of_code(code: int, ring: _Ring) -> WittClass:

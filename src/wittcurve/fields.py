@@ -300,12 +300,14 @@ def make_field(p: int, e: int = 1, *, max_cardinality: int = DEFAULT_CARDINALITY
         raise TypeError("p and e must be integers")
     if p == 2:
         raise ValueError("characteristic 2 is not supported")
+    # the bound goes before the trial division, which takes O(sqrt(p)); as
+    # p >= 3, any e above the bound's bit length exceeds it without p**e
+    if p >= 3 and e >= 1 and (e > max_cardinality.bit_length() or p**e > max_cardinality):
+        raise ValueError(f"cardinality {p}^{e} exceeds the bound {max_cardinality}")
     if not _is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if e < 1:
         raise ValueError(f"extension degree must be >= 1, got {e}")
-    if p**e > max_cardinality:
-        raise ValueError(f"cardinality {p}^{e} exceeds the bound {max_cardinality}")
     return _make_field_cached(p, e)
 
 

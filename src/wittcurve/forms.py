@@ -9,10 +9,16 @@ radical dimension when the input is degenerate.
 Witt decomposition peels hyperbolic planes off a diagonal form until the
 anisotropic kernel remains (rank <= 2 over a finite field).  The splitter
 first cancels any entry pair <a, b> with -ab a square (such a pair is
-already a hyperbolic plane), and only then scans the leading rank-3 subform,
-which is always isotropic over a finite field.  The isotropy scan solves
-its last coordinate from a square test and a square root instead of trying
-every value, so any scan makes at most q + 1 square tests.
+already a hyperbolic plane).  When no pair cancels and rank >= 3, it uses
+the classical fact that rank and determinant class classify forms over F_q:
+the leading <a, b, c> is isometric to H ⊥ <-abc>, so no vector is searched
+for.  That split runs only when q = 3 mod 4 and every remaining entry has
+one square class: when q = 1 mod 4, two of any three entries share a class
+and cancel as a pair.
+
+The isotropy scan, find_isotropic_vector, solves its last coordinate from a
+square test and a square root instead of trying every value, so any scan
+makes at most q + 1 square tests.
 """
 
 from __future__ import annotations
@@ -26,9 +32,6 @@ from .fields import (
     is_square,
     square_root,
 )
-
-DEFAULT_MAX_SEARCH = 10**7
-
 
 class DegenerateFormError(ValueError):
     """Raised when an operation requires a nondegenerate form.
@@ -242,16 +245,7 @@ def diagonalize_with_basis(g: GramForm) -> tuple[DiagonalForm, tuple[tuple[Field
     return DiagonalForm(field, diag), tuple(tuple(row) for row in t)
 
 
-def _check_max_search(max_search: int) -> None:
-    # up front, because a search that needs no square test never compares
-    # against the bound
-    if max_search < 0:
-        raise ValueError(f"max_search must be >= 0, got {max_search}")
-
-
-def find_isotropic_vector(
-    f: DiagonalForm, max_search: int = DEFAULT_MAX_SEARCH
-) -> Optional[tuple[FieldElement, ...]]:
+def find_isotropic_vector(f: DiagonalForm) -> Optional[tuple[FieldElement, ...]]:
     """First nonzero v with f(v, v) = 0 in the deterministic scan order, or None.
 
     One representative per projective point is visited: vectors grouped by the
@@ -262,14 +256,10 @@ def find_isotropic_vector(
     is 0 when t = 0, the square root of t with the smaller index when t is a
     square, and otherwise the prefix has no isotropic vector.
 
-    max_search bounds the number of prefixes tried, each one square test;
-    a search that would try more raises ValueError, and so does a negative
-    max_search.  An anisotropic form tries every prefix, which at rank 2 is
-    one; ranks 0 and 1 try none.  No scan tries more than q + 1 prefixes, so
-    the default of 10^7 never binds for a field that make_field accepts, and
-    a smaller value caps the cost where one square test is expensive.
+    Each prefix costs one square test.  An anisotropic form tries every
+    prefix, which at rank 2 is one; ranks 0 and 1 try none; no scan tries
+    more than q + 1.
     """
-    _check_max_search(max_search)
     field = f.field
     q = field.q
     entries = f.entries
@@ -291,11 +281,7 @@ def find_isotropic_vector(
                 yield n - 3, (x_mid,), a_lead + a_mid * x_mid * x_mid
 
     scale = -entries[-1].inverse()
-    tests = 0
     for lead, middle, total in prefixes():
-        tests += 1
-        if tests > max_search:
-            raise ValueError(f"isotropic search passes max_search = {max_search} square tests")
         t = total * scale
         if not t or is_square(t):
             v = (zero,) * lead + (field.one, *middle, square_root(t))
@@ -305,73 +291,13 @@ def find_isotropic_vector(
     return None
 
 
-def _nullspace_vector(
-    rows: Sequence[Sequence[FieldElement]], n: int, field: FiniteField
-) -> Optional[list[FieldElement]]:
-    """Some nonzero w with row · w = 0 for every row, or None if only w = 0."""
-    work = [list(r) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        hit = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if hit is None:
-            continue
-        work[r], work[hit] = work[hit], work[r]
-        inv = work[r][c].inverse()
-        work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                coef = work[i][c]
-                work[i] = [x - coef * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-    free = next((c for c in range(n) if c not in pivots), None)
-    if free is None:
-        return None
-    w = [field.zero] * n
-    w[free] = field.one
-    for row, pc in zip(work, pivots):
-        w[pc] = -row[free]
-    return w
-
-
-def _split_leading_triple(
-    field: FiniteField, entries: list[FieldElement], max_search: int
-) -> FieldElement:
-    """Split a hyperbolic plane off <e0,e1,e2> and return the rank-1 residual.
-
-    The leading rank-3 subform is isotropic over any finite field; an
-    isotropic v is completed to a hyperbolic pair (v, u) with B(v, u) = 1,
-    and the orthogonal complement of the pair inside the subform carries the
-    residual entry.
-    """
-    sub = _diagonal(field, tuple(entries[:3]))
-    v = find_isotropic_vector(sub, max_search)
-    assert v is not None, "rank-3 forms over finite fields are isotropic"
-    i0 = next(i for i in range(3) if v[i])
-    scale = (sub.entries[i0] * v[i0]).inverse()  # B(v, e_i0) inverted
-    u = [field.zero] * 3
-    u[i0] = scale
-    row_v = [sub.entries[j] * v[j] for j in range(3)]
-    row_u = [sub.entries[j] * u[j] for j in range(3)]
-    w = _nullspace_vector([row_v, row_u], 3, field)
-    assert w is not None
-    c = sub.value(w)
-    assert c, "complement of a hyperbolic plane in a nondegenerate space is nondegenerate"
-    return c
-
-
-def witt_decompose(
-    f: DiagonalForm, max_search: int = DEFAULT_MAX_SEARCH
-) -> tuple[int, DiagonalForm]:
+def witt_decompose(f: DiagonalForm) -> tuple[int, DiagonalForm]:
     """Witt decomposition: (number of hyperbolic planes, anisotropic kernel).
 
     Entry pairs <a, b> with -ab a square split off directly; once no such
-    pair remains and rank >= 3, a hyperbolic plane is split out of the
-    leading rank-3 subform.  The kernel always ends with rank <= 2.
-    max_search is passed to each isotropy search and must be >= 0.
+    pair remains and rank >= 3, the leading entries <a, b, c> become
+    H ⊥ <-abc>.  The kernel always ends with rank <= 2.
     """
-    _check_max_search(max_search)
     field = f.field
     entries = list(f.entries)
     # square-class bits beside the entries: -ab is a square exactly when the
@@ -396,19 +322,20 @@ def witt_decompose(
                     break
         if len(entries) < 3:
             break
-        c = _split_leading_triple(field, entries, max_search)
-        entries = [c] + entries[3:]
-        cls = [0 if is_square(c) else 1] + cls[3:]
+        # <a, b, c> = H ⊥ <d>, and the determinant fixes d's class: d = -abc
+        a, b, c = entries[:3]
+        entries = [-(a * b * c)] + entries[3:]
+        cls = [sigma ^ cls[0] ^ cls[1] ^ cls[2]] + cls[3:]
         hyper += 1
     kernel = _diagonal(field, tuple(entries))
     assert 2 * hyper + kernel.rank == f.rank
     return hyper, kernel
 
 
-def witt_equal(f: DiagonalForm, g: DiagonalForm, max_search: int = DEFAULT_MAX_SEARCH) -> bool:
+def witt_equal(f: DiagonalForm, g: DiagonalForm) -> bool:
     """Whether f and g represent the same Witt class: f ⊥ -g is hyperbolic."""
     _same_field(f, g)
-    _, kernel = witt_decompose(orthogonal_sum(f, g.negate()), max_search)
+    _, kernel = witt_decompose(orthogonal_sum(f, g.negate()))
     return kernel.rank == 0
 
 

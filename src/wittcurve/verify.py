@@ -126,7 +126,9 @@ def base_ring_additive_structure() -> list[CheckResult]:
 
 
 def finite_field_isotropy() -> list[CheckResult]:
-    """Rank 3 and 4 forms are isotropic; decomposition kernels have rank <= 2.
+    """Rank 3 and 4 forms are isotropic; decomposition kernels are sound.
+
+    A kernel has rank <= 2, is anisotropic and keeps the form's invariants.
 
     Entry tuples range over square-class representatives {1, s}, which is
     exhaustive because isotropy is invariant under scaling entries by
@@ -155,8 +157,13 @@ def finite_field_isotropy() -> list[CheckResult]:
         for n in range(1, 5):
             for tup in itertools.product(units, repeat=n):
                 checked += 1
-                _, kernel = witt_decompose(DiagonalForm(field, tup))
-                if kernel.rank > 2 or (kernel.rank and find_isotropic_vector(kernel) is not None):
+                form = DiagonalForm(field, tup)
+                _, kernel = witt_decompose(form)
+                if (
+                    kernel.rank > 2
+                    or (kernel.rank and find_isotropic_vector(kernel) is not None)
+                    or witt_invariants(kernel) != witt_invariants(form)
+                ):
                     bad_kernel = tup
         out.append(
             CheckResult(

@@ -6,7 +6,8 @@ into the class code odd | u_bit << 1, and the operators are the class
 operators.  The context q mod 4 fixes the ring structure; the two contexts
 give non-isomorphic rings (additive group Z/4 versus exponent 2), so
 arithmetic across contexts is rejected, and so is arithmetic with an r = 0
-curve class, which has the same code but another type.
+curve class, which has the same code but another type.  The inherited odd
+and from_json return W(k) values from r = 0 bundles and refuse any other.
 
 The four elements, in every context: zero, the nontrivial even class E,
 and the two odd classes <1> and <s>.  E is represented by <1,s> when

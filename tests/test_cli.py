@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import wittcurve
@@ -47,6 +48,17 @@ def test_field_info_rejects_even_and_garbage(capsys):
         code, _, err = run(capsys, "field-info", "--q", bad)
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_field_info_rejects_huge_q_at_once(capsys):
+    # the cardinality bound is checked before trial division, before the
+    # literal prime-power search and without building 3^100000000
+    for q in ("1000000000000000003", "2305843009213693951", "3^100000000"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "field-info", "--q", q)
+        assert time.perf_counter() - start < 0.5, q
+        assert code == 2 and out == ""
+        assert err.startswith("error: cardinality ") and err.count("\n") == 1
 
 
 def test_wittk_table_text(capsys):
@@ -277,24 +289,11 @@ def test_each_subcommand_loads_only_its_layers():
         assert loaded == ["0", *sorted(expected)], argv[0]
 
 
-def test_max_search_flag(capsys):
-    # the flag counts square tests per isotropy search; one split of this
-    # decomposition takes 4
-    diag = ("form-witt", "--q", "11", "--diag", "1,5,7,2,3,1,1,9")
-    code, _, err = run(capsys, *diag, "--max-search", "3")
-    assert code == 2 and "search" in err.lower()
-    code, out, _ = run(capsys, *diag, "--max-search", "4")
+def test_form_witt_splits_a_rank_8_form(capsys):
+    # over F_11 (q = 3 mod 4) two pairs cancel, the square triple <3, 1, 1>
+    # splits as H ⊥ <-3>, and <-3, 9> cancels: four planes, zero kernel
+    code, out, _ = run(capsys, "form-witt", "--q", "11", "--diag", "1,5,7,2,3,1,1,9")
     assert code == 0 and "rank 8 = 2*4 + 0" in out
-
-
-def test_negative_max_search_exits_2(capsys):
-    # <1> needs no isotropy search, so the bound is checked before any scan
-    diag = ("form-witt", "--q", "7", "--diag", "1")
-    code, out, err = run(capsys, *diag, "--max-search", "-5")
-    assert code == 2 and out == ""
-    assert err == "error: max_search must be >= 0, got -5\n"
-    code, out, _ = run(capsys, *diag, "--max-search", "0")
-    assert code == 0 and "rank 1 = 2*0 + 1" in out
 
 
 def test_closed_stdout_exits_without_traceback():

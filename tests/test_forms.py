@@ -13,12 +13,10 @@ import pytest
 
 from wittcurve.fields import SquareClass, make_field, square_class
 from wittcurve.forms import (
-    DEFAULT_MAX_SEARCH,
     DegenerateFormError,
     DiagonalForm,
     GramForm,
     WittInvariants,
-    _split_leading_triple,
     determinant_class,
     diagonalize,
     diagonalize_with_basis,
@@ -261,11 +259,11 @@ def _scan_order(q, n):
             yield (0,) * lead + (1,) + tail
 
 
-def test_find_isotropic_respects_max_search():
-    # max_search bounds the prefixes tried, one square test each, not q^rank
-    # or scan positions: rank 9 over F_7 (7^9 > 10^7) has its answer at
-    # position 26 in scan order, solved by the fourth prefix, (.., 1, d, x)
-    # with d = 2, after (.., 1, x) and d = 0, 1
+def test_find_isotropic_scan_position():
+    # the scan tries prefixes, one square test each, not q^rank scan
+    # positions: rank 9 over F_7 has its answer at position 26 in scan
+    # order, solved by the fourth prefix, (.., 1, d, x) with d = 2, after
+    # (.., 1, x) and d = 0, 1
     f7 = make_field(7)
     form = df(f7, *([1] * 9))
     v = find_isotropic_vector(form)
@@ -273,35 +271,14 @@ def test_find_isotropic_respects_max_search():
     indices = tuple(x.index for x in v)
     position = next(i for i, w in enumerate(_scan_order(7, 9), 1) if w == indices)
     assert position == 26
-    assert find_isotropic_vector(form, max_search=4) == v
-    with pytest.raises(ValueError, match="max_search"):
-        find_isotropic_vector(form, max_search=3)
     # an anisotropic search tries every prefix, which at rank 2 is one
-    plane = df(f7, 1, 1)
-    assert find_isotropic_vector(plane, max_search=1) is None
-    with pytest.raises(ValueError, match="max_search"):
-        find_isotropic_vector(plane, max_search=0)
-    assert DEFAULT_MAX_SEARCH == 10**7
-
-
-def test_negative_max_search_is_rejected():
-    # a bound below 0 is an error even where no square test would run, and 0
-    # stays valid: rank 1 scans nothing, and <1, 1> over F_5 (-1 a square)
-    # splits as a pair without a scan
-    f5 = make_field(5)
-    for form in (df(f5, 1), df(f5, 1, 1), df(f5, 1, 2, 3)):
-        for call in (find_isotropic_vector, witt_decompose):
-            with pytest.raises(ValueError, match=r"^max_search must be >= 0, got -5$"):
-                call(form, max_search=-5)
-    assert find_isotropic_vector(df(f5, 1), max_search=0) is None
-    assert witt_decompose(df(f5, 1), max_search=0)[0] == 0
-    assert witt_decompose(df(f5, 1, 1), max_search=0)[0] == 1
+    assert find_isotropic_vector(df(f7, 1, 1)) is None
 
 
 def test_find_isotropic_large_field_python_path():
     # q = 4099 exceeds TABLE_LIMIT, so the scan builds its elements on demand
     field = make_field(4099)
-    v = find_isotropic_vector(hyperbolic_plane(field), max_search=2 * 10**7)
+    v = find_isotropic_vector(hyperbolic_plane(field))
     assert v == (field.one, field.one)
     assert find_isotropic_vector(df(field, 1)) is None
 
@@ -338,12 +315,11 @@ def test_scan_and_decompose_near_cardinality_bound():
             assert witt_invariants(kernel) == witt_invariants(form)
 
 
-def test_late_prefix_near_cardinality_bound_within_default_max_search():
+def test_late_prefix_near_cardinality_bound():
     # <12,1,1> over F_1048571 (q = 3 mod 4, so -1 is a nonsquare): the tail
     # <1,1> is anisotropic and 12 + d^2 is a nonzero square for d = 0..14,
     # so t = -(12 + d^2) is a nonsquare and the first solvable prefix is
-    # (1, 15).  The search tries 17 prefixes, (0, 1, x) and d = 0..15, far
-    # below the default bound, and exactly 17 square tests suffice
+    # (1, 15), the 17th prefix tried: (0, 1, x), then d = 0..15
     q = 1048571
     field = make_field(q)
     form = df(field, 12, 1, 1)
@@ -352,15 +328,9 @@ def test_late_prefix_near_cardinality_bound_within_default_max_search():
     v = find_isotropic_vector(form)
     assert form.value(v) == field.zero
     assert (v[0], v[1]) == (field.one, field.element(15))
-    assert find_isotropic_vector(form, max_search=17) == v
-    with pytest.raises(ValueError, match="max_search"):
-        find_isotropic_vector(form, max_search=16)
     h, kernel = witt_decompose(form)
     assert (h, kernel.rank) == (1, 1)
     assert witt_invariants(kernel) == witt_invariants(form)
-    assert witt_decompose(form, max_search=17) == (h, kernel)
-    with pytest.raises(ValueError, match="max_search"):
-        witt_decompose(form, max_search=16)
 
 
 def test_witt_decompose_structure_randomized():
@@ -386,8 +356,9 @@ def _product_rule_reference(form, squares):
     """(signed disc, det class, hyper, kernel entries) by entry products.
 
     The square-class rules as first written: classes of explicit products,
-    looked up in the square set {x*x}, and the first pair <a, b> in
-    row-major order with -ab a square cancelled each round.
+    looked up in the square set {x*x}, the first pair <a, b> in row-major
+    order with -ab a square cancelled each round, and, when none cancels, a
+    leading triple <a, b, c> replaced by the explicit product -(a*b*c).
     """
     field = form.field
 
@@ -418,7 +389,8 @@ def _product_rule_reference(form, squares):
             continue
         if len(entries) < 3:
             break
-        entries = [_split_leading_triple(field, entries, DEFAULT_MAX_SEARCH)] + entries[3:]
+        a, b, c = entries[:3]
+        entries = [-(a * b * c)] + entries[3:]
         hyper += 1
     return signed, det_class, hyper, tuple(entries)
 
@@ -512,10 +484,15 @@ def isometric_bruteforce(f, g):
     assert f.field == g.field
     if f.rank != g.rank:
         return False
+    if f.field.q > 5 or f.rank > 3:
+        return witt_equal(f, g)
+    return _isometric_by_search(f, g)
+
+
+def _isometric_by_search(f, g):
+    """The change-of-basis search alone, at any size, with no fallback."""
     n = f.rank
     field = f.field
-    if field.q > 5 or n > 3:
-        return witt_equal(f, g)
     vectors = list(_all_vectors(field, n))
 
     def extend(cols):
@@ -557,6 +534,26 @@ def test_isometric_bruteforce_rank3_spot():
     # beyond the exhaustive range it falls back to the invariant test
     f7 = make_field(7)
     assert isometric_bruteforce(df(f7, 1, 1, 1, 1), df(f7, 2, 2, 2, 2))
+
+
+def test_triple_split_is_an_isometry_bruteforce():
+    # witt_decompose splits a triple only when no pair cancels, which over
+    # F_3 and F_7 (q = 3 mod 4) means all three entries share a class; it
+    # then writes <a, b, c> = H ⊥ <-abc>, here checked by an explicit basis
+    checked = 0
+    for p in (3, 7):
+        field = make_field(p)
+        nonzero = list(field.nonzero_elements())
+        squares = {x * x for x in nonzero}
+        for same in ([x for x in nonzero if x in squares], [x for x in nonzero if x not in squares]):
+            for a, b, c in itertools.product(same, repeat=3):
+                residual = -(a * b * c)
+                form = DiagonalForm(field, (a, b, c))
+                split = DiagonalForm(field, (field.one, -field.one, residual))
+                assert _isometric_by_search(form, split), form
+                assert witt_decompose(form) == (1, DiagonalForm(field, (residual,))), form
+                checked += 1
+    assert checked == 2 + 54
 
 
 def test_gram_roundtrip():

@@ -220,6 +220,29 @@ def test_unit_and_letters():
     assert str(WittK.s(1)) == "<s>"
 
 
+def test_inherited_constructors_stay_in_w_k():
+    # odd, from_json and to_json work in kind: a W(k) value comes back as the
+    # same interned WittK, a curve class stays a WittClass, and WittK refuses
+    # a bundle of rank r > 0
+    trivial = Pic2Group(0)
+    for ctx in (1, 3):
+        for a in WittK.elements(ctx):
+            assert WittK.from_json(a.to_json(), ctx, trivial) is a
+            back = WittClass.from_json(a.to_json(), ctx, trivial)
+            assert type(back) is WittClass and back.code == a.code
+        for u in (ONE, NS):
+            assert WittK.odd(u, trivial.identity, ctx) is WittK.of_unit(u, ctx)
+            assert type(WittClass.odd(u, trivial.identity, ctx)) is WittClass
+        g = Pic2Group(2)
+        with pytest.raises(TypeError, match="WittK has only the r = 0 ring, got r = 2"):
+            WittK.odd(ONE, g.element("01"), ctx)
+        with pytest.raises(TypeError, match="WittK has only the r = 0 ring"):
+            WittK.from_json({"parity": "odd", "u": "1", "L": "01"}, ctx, g)
+    assert WittK.one(1).to_json() == {"parity": "odd", "u": "1", "L": ""}
+    with pytest.raises(TypeError, match="u must be a SquareClass"):
+        WittK.odd("1", trivial.identity, 1)
+
+
 def test_unit_diagonal():
     assert WittK.zero(1).unit_diagonal() == []
     assert WittK.one(3).unit_diagonal() == [ONE]
