@@ -135,7 +135,11 @@ class WittClass:
         bundles = self.ring.bundles
         if bundles is not None:
             return bundles[self.code >> 2]
-        return PicElement(self.r, self.code >> 2)
+        # unchecked, as in _of_code: the code comes from a validated class
+        L = _new(PicElement)
+        L.rank = self.ring.r
+        L.code = self.code >> 2
+        return L
 
     def is_zero(self) -> bool:
         return self.code == 0
@@ -162,9 +166,11 @@ class WittClass:
             self._compatible(other)
         a = self.code
         b = other.code
-        if a & b & 1:
-            return _of_code(a ^ b ^ ring.flip, ring)
-        return _of_code(a ^ b, ring)
+        code = a ^ b ^ ring.flip if a & b & 1 else a ^ b
+        classes = ring.classes
+        if classes is not None:
+            return classes[code]
+        return _of_code(code, ring)
 
     def __neg__(self) -> "WittClass":
         if self.code & 1 and self.ring.flip:
@@ -181,12 +187,17 @@ class WittClass:
         a = self.code
         b = other.code
         if a & b & 1:
-            return _of_code((a ^ b) | 1, ring)
-        if a & 1:
+            code = (a ^ b) | 1
+        elif a & 1:
             return other  # odd units act trivially on the even ideal
-        if b & 1:
+        elif b & 1:
             return self
-        return _of_code(0, ring)
+        else:
+            code = 0
+        classes = ring.classes
+        if classes is not None:
+            return classes[code]
+        return _of_code(code, ring)
 
     def __eq__(self, other: object) -> bool:
         if self is other:

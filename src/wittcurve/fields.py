@@ -143,8 +143,11 @@ class FieldElement:
         return FieldElement(self.field, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "FieldElement":
-        p = self.field.p
-        return FieldElement(self.field, tuple(-a % p for a in self.coeffs))
+        f = self.field
+        if f.e == 1:
+            return FieldElement(f, (-self.coeffs[0] % f.p,))
+        p = f.p
+        return FieldElement(f, tuple(-a % p for a in self.coeffs))
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         self._same_field(other)

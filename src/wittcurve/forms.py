@@ -90,7 +90,7 @@ class DiagonalForm:
     def __init__(self, field: FiniteField, entries: Sequence[FieldElement]):
         entries = tuple(entries)
         for a in entries:
-            if not isinstance(a, FieldElement) or a.field != field:
+            if not isinstance(a, FieldElement) or (a.field is not field and a.field != field):
                 raise ValueError("entries must be elements of the given field")
             if not a:
                 raise ValueError("diagonal entries must be nonzero (nondegenerate)")

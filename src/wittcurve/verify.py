@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
 from .curve import WittClass, enumerate_classes, reduce_word, signed_discriminant_class
 from .fields import SquareClass, canonical_nonsquare, make_field, minus_one_class, square_class
@@ -34,6 +35,7 @@ BULLET_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (5, 2), (3, 3
 COUNT_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1)]
 ISOTROPY_PRIMES = [3, 5, 7, 11]
 COMPLETENESS_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1)]
+TRIPLES_PER_DRAW = 1000
 
 
 @dataclass
@@ -186,21 +188,27 @@ def field_invariant_completeness() -> list[CheckResult]:
     for p, e in COMPLETENESS_FIELDS:
         field = make_field(p, e)
         one, s = field.one, canonical_nonsquare(field)
-
-        def pattern(f: DiagonalForm) -> DiagonalForm:
-            return DiagonalForm(
-                field, tuple(one if square_class(a) is _ONE else s for a in f.entries)
-            )
+        # each square-class pattern, keyed by its nonsquare bits, with its
+        # invariants; built once per field, rank by rank in product order
+        patterns = {}
+        for n in range(5):
+            for key in itertools.product((False, True), repeat=n):
+                g = DiagonalForm(field, tuple(s if bit else one for bit in key))
+                patterns[key] = (g, witt_invariants(g))
 
         bad = None
         total = 0
         nonzero = list(field.nonzero_elements())
+        bits = [square_class(a) is _NS for a in nonzero]
         for n in range(5):
-            for tup in itertools.product(nonzero, repeat=n):
+            # the two products run in step, so each key holds the bits of tup
+            for tup, key in zip(
+                itertools.product(nonzero, repeat=n), itertools.product(bits, repeat=n)
+            ):
                 total += 1
                 f = DiagonalForm(field, tup)
-                g = pattern(f)
-                if witt_invariants(f) != witt_invariants(g) or not witt_equal(f, g):
+                g, invariants = patterns[key]
+                if witt_invariants(f) != invariants or not witt_equal(f, g):
                     bad = f
                     break
             if bad is not None:
@@ -213,15 +221,10 @@ def field_invariant_completeness() -> list[CheckResult]:
             )
         )
 
-        patterns = [DiagonalForm(field, ())]
-        for n in range(1, 5):
-            patterns += [
-                DiagonalForm(field, tup) for tup in itertools.product((one, s), repeat=n)
-            ]
         bad_pair = None
-        for f in patterns:
-            for g in patterns:
-                if witt_equal(f, g) != (witt_invariants(f) == witt_invariants(g)):
+        for f, f_invariants in patterns.values():
+            for g, g_invariants in patterns.values():
+                if witt_equal(f, g) != (f_invariants == g_invariants):
                     bad_pair = (f, g)
         out.append(
             CheckResult(
@@ -312,15 +315,30 @@ def _random_axiom_counterexample(
 ) -> tuple[WittClass, WittClass, WittClass] | None:
     """The first of n random class triples at rank r that breaks a ring axiom.
 
-    Each class is drawn uniformly from the 4·2^r classes of the context,
-    one RNG call per triple; returns None when all n triples pass.
+    Each class is drawn uniformly from the 4·2^r classes of the context;
+    returns None when all n triples pass.
     """
     classes = enumerate_classes(context, Pic2Group(r))
-    for _ in range(n):
-        a, b, c = rng.choices(classes, k=3)
+    for a, b, c in _random_triples(classes, n, rng):
         if not _axioms_hold(a, b, c):
             return a, b, c
     return None
+
+
+def _random_triples(
+    classes: list[WittClass], n: int, rng: random.Random
+) -> Iterator[tuple[WittClass, WittClass, WittClass]]:
+    """n uniform triples of classes, drawn TRIPLES_PER_DRAW at a time.
+
+    choices without weights spends one random() per pick, so these are the
+    triples of n calls of rng.choices(classes, k=3); the chunk bounds the
+    picks held at once.
+    """
+    while n > 0:
+        m = min(n, TRIPLES_PER_DRAW)
+        picks = iter(rng.choices(classes, k=3 * m))
+        yield from zip(picks, picks, picks)
+        n -= m
 
 
 def curve_ring_axioms(seed: int = 2024) -> list[CheckResult]:

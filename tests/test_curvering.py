@@ -22,10 +22,11 @@ from wittcurve.curve import (
     signed_discriminant_class,
 )
 from wittcurve.fields import SquareClass, minus_one_class
-from wittcurve.pic2 import Pic2Group
+from wittcurve.pic2 import Pic2Group, PicElement
 from wittcurve.verify import (
     _axioms_hold,
     _random_axiom_counterexample,
+    _random_triples,
     curve_ring_axioms,
     rank_zero_degeneration,
 )
@@ -184,6 +185,17 @@ def test_ring_axioms_randomized_large_rank():
     for ctx in (1, 3):
         for r in (3, 5):
             assert _random_axiom_counterexample(ctx, r, 20000, rng) is None
+
+
+def test_chunked_draws_are_the_triples_of_one_call_each():
+    # criterion 7 draws many triples per rng.choices call; its triples must
+    # be those of 60000 calls of rng.choices(classes, k=3) with its seeds
+    for ctx in (1, 3):
+        classes = enumerate_classes(ctx, Pic2Group(8))
+        rng = random.Random(2024 + ctx)
+        expected = [tuple(rng.choices(classes, k=3)) for _ in range(60000)]
+        got = list(_random_triples(classes, 60000, random.Random(2024 + ctx)))
+        assert got == expected
 
 
 def test_randomized_axioms_catch_a_high_bit_defect(monkeypatch):
@@ -517,6 +529,22 @@ def test_bundles_are_interned_up_to_the_intern_bound():
                 for y in (copy.deepcopy(c), pickle.loads(pickle.dumps(c)), copy.copy(c)):
                     assert y == c and y.L == c.L
                     assert (y.L is c.L) == interned
+
+
+def test_bundles_above_the_intern_bound_match_the_class_code():
+    # above the bound L is built unchecked from the class code
+    for r in (INTERN_RANK + 1, 20):
+        g = Pic2Group(r)
+        for ctx in (1, 3):
+            for c in (
+                WittClass.odd(NS, g.element(g.n - 1), ctx),
+                WittClass.even(ONE, g.element(5), ctx),
+                WittClass.zero(ctx, g),
+            ):
+                L = c.L
+                assert type(L) is PicElement
+                assert L == PicElement(r, c.code >> 2)
+                assert (L.rank, L.code) == (r, c.code >> 2)
 
 
 def test_classes_above_the_intern_bound_allocate_without_a_table():

@@ -136,6 +136,20 @@ def test_field_axioms_sampled():
             assert a * f.zero == f.zero
 
 
+def test_negation_matches_subtraction_from_zero():
+    # prime fields negate their one coefficient directly; extensions negate
+    # every coefficient
+    rng = random.Random(1048573)
+    big = make_field(1048573, 1)
+    samples = [list(make_field(p, e).elements()) for p, e in ((3, 1), (7, 1), (3, 2), (3, 3))]
+    samples.append([big.element(rng.randrange(big.q)) for _ in range(200)])
+    for elems in samples:
+        for x in elems:
+            zero = x.field.zero
+            assert -x == zero - x
+            assert x + (-x) == zero
+
+
 def test_inverse_exhaustive():
     for p, e in [(7, 1), (3, 2), (5, 2), (3, 3)]:
         f = make_field(p, e)

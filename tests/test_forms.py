@@ -562,3 +562,26 @@ def test_gram_roundtrip():
     assert diagonalize(form.gram()) == form
     v = (f7.element(2), f7.element(3))
     assert form.value(v) == f7.element(1 * 4 + 3 * 9)
+
+
+@pytest.mark.parametrize("name", ["witt_equal", "witt_invariants"])
+def test_completeness_catches_one_wrong_answer(monkeypatch, name):
+    # criterion 5 still asks both questions of every form, so one wrong answer
+    # for one rank-4 form over F_11 that is not a pattern fails exactly the
+    # F_11 form line
+    import wittcurve.verify as verify
+
+    target = df(make_field(11, 1), 3, 4, 5, 9)
+    real = getattr(verify, name)
+
+    def wrong(f, *rest):
+        answer = real(f, *rest)
+        if f != target:
+            return answer
+        if name == "witt_equal":
+            return not answer
+        return answer._replace(rank_parity=answer.rank_parity ^ 1)
+
+    monkeypatch.setattr(verify, name, wrong)
+    failed = [r.name for r in verify.field_invariant_completeness() if not r.passed]
+    assert failed == ["forms match their square-class pattern over F_11"]
