@@ -1,14 +1,17 @@
 """Command line front end.
 
-Subcommands:
-  field-info         odd prime power summary: p, e, modulus, nonsquare, q mod 4
-  wittk-table        base Witt ring addition/multiplication tables and identities
-  form-diag          congruence-diagonalize a Gram matrix
-  form-witt          Witt decomposition and invariants of a diagonal form
-  curve-table        full curve-level class tables for 2-torsion rank r
-  curve-eval         fold a word of rank-one classes into canonical form
-  curve-normal-form  normal form of a group ring element given by a word
-  verify             run the whole verification battery
+Subcommands, with the flags each one requires:
+  field-info         --q                  p, e, modulus, canonical nonsquare, q mod 4
+  wittk-table        --q                  base Witt ring tables and identity checks
+  form-diag          --q --gram           congruence-diagonalize a Gram matrix
+  form-witt          --q (--diag|--gram)  Witt decomposition and invariants of a form
+  curve-table        --q --r              curve class tables for 2-torsion rank r
+  curve-eval         --q --r --word       fold a word of rank-one classes to its class
+  curve-normal-form  --q --r --word       normal form of a group ring element given by a word
+  verify                                  run the whole verification battery
+
+Each also takes --json.  A missing or unknown flag, like any other bad
+input, gets one 'error: ...' line on stderr and exit code 2.
 
 Gram matrices are entered row-major, rows separated by ';' and entries by
 ',' with extension-field entries written as parenthesized coefficient
@@ -30,7 +33,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 # these two layers load with the module; each cmd_* imports the layers it
 # calls, and a cold start pays for no other
 from .fields import (
-    DEFAULT_CARDINALITY_BOUND,
+    CARDINALITY_BOUND,
     FieldElement,
     FiniteField,
     SquareClass,
@@ -55,7 +58,7 @@ def _parse_q(text: str) -> FiniteField:
     if not m:
         raise CLIError(f"q must look like 'p' or 'p^e', got {text!r}")
     p, e = int(m.group(1)), int(m.group(2) or 1)
-    if e == 1 and 4 < p <= DEFAULT_CARDINALITY_BOUND:
+    if e == 1 and 4 < p <= CARDINALITY_BOUND:
         # accept a literal prime power such as 9 or 27; above the bound
         # make_field refuses p anyway, and the search would take O(sqrt(p))
         for base in range(2, int(p**0.5) + 1):
@@ -156,13 +159,6 @@ def _emit(payload: dict, as_json: bool, text_lines: list[str]) -> None:
             print(line)
 
 
-def _require(args, flag: str):
-    value = getattr(args, flag.strip("-").replace("-", "_"))
-    if value is None:
-        raise CLIError(f"{flag} is required for this subcommand")
-    return value
-
-
 def _check_rank(r: int, bound: int, what: str) -> None:
     if r < 0:
         raise CLIError(f"r must be nonnegative, got {r}")
@@ -171,7 +167,7 @@ def _check_rank(r: int, bound: int, what: str) -> None:
 
 
 def cmd_field_info(args) -> int:
-    field = _parse_q(_require(args, "--q"))
+    field = _parse_q(args.q)
     s = canonical_nonsquare(field)
     payload = {
         "p": field.p,
@@ -217,10 +213,10 @@ def _render_table(labels: Sequence[str], cells: Sequence[Sequence[str]], op: str
 def cmd_wittk_table(args) -> int:
     from .wittk import verify_bullets
 
-    field = _parse_q(_require(args, "--q"))
+    field = _parse_q(args.q)
     context = field.q % 4
     labels, add, mul = _wittk_tables(context)
-    report = verify_bullets(context, field)
+    report = verify_bullets(field)
     payload = {
         "q": field.q,
         "context": context,
@@ -242,8 +238,8 @@ def cmd_wittk_table(args) -> int:
 def cmd_form_diag(args) -> int:
     from .forms import DegenerateFormError, diagonalize_with_basis
 
-    field = _parse_q(_require(args, "--q"))
-    gram = _parse_gram(field, _require(args, "--gram"))
+    field = _parse_q(args.q)
+    gram = _parse_gram(field, args.gram)
     try:
         diag, transform = diagonalize_with_basis(gram)
     except DegenerateFormError as exc:
@@ -269,16 +265,14 @@ def cmd_form_witt(args) -> int:
     )
     from .wittk import from_concrete_form
 
-    field = _parse_q(_require(args, "--q"))
+    field = _parse_q(args.q)
     if args.diag is not None:
         form = _parse_diag(field, args.diag)
-    elif args.gram is not None:
+    else:
         try:
             form = diagonalize_with_basis(_parse_gram(field, args.gram))[0]
         except DegenerateFormError as exc:
             raise CLIError(str(exc)) from None
-    else:
-        raise CLIError("form-witt needs --diag or --gram")
     hyper, kernel = witt_decompose(form)
     cls = from_concrete_form(form)
     payload = {
@@ -304,8 +298,8 @@ def cmd_form_witt(args) -> int:
 def cmd_curve_table(args) -> int:
     from .curve import enumerate_classes
 
-    field = _parse_q(_require(args, "--q"))
-    r = _require(args, "--r")
+    field = _parse_q(args.q)
+    r = args.r
     _check_rank(r, MAX_TABLE_RANK, "curve-table")
     context = field.q % 4
     group = Pic2Group(r)
@@ -334,12 +328,12 @@ def cmd_curve_table(args) -> int:
 def cmd_curve_eval(args) -> int:
     from .curve import reduce_word, signed_discriminant_class
 
-    field = _parse_q(_require(args, "--q"))
-    r = _require(args, "--r")
+    field = _parse_q(args.q)
+    r = args.r
     _check_rank(r, MAX_WORD_RANK, "curve-eval")
     context = field.q % 4
     group = Pic2Group(r)
-    word = _parse_word(_require(args, "--word"), group)
+    word = _parse_word(args.word, group)
     cls = reduce_word(word, context, group)
     u, L = signed_discriminant_class(cls)
     payload = {
@@ -364,12 +358,12 @@ def cmd_curve_normal_form(args) -> int:
     from .groupring import GroupRingElement, normal_form
     from .wittk import WittK
 
-    field = _parse_q(_require(args, "--q"))
-    r = _require(args, "--r")
+    field = _parse_q(args.q)
+    r = args.r
     _check_rank(r, MAX_WORD_RANK, "curve-normal-form")
     context = field.q % 4
     group = Pic2Group(r)
-    word = _parse_word(_require(args, "--word"), group)
+    word = _parse_word(args.word, group)
     elem = GroupRingElement.zero(context, group)
     for u, L in word:
         elem = elem + GroupRingElement.monomial(WittK.of_unit(u, context), L, group)
@@ -414,39 +408,60 @@ def cmd_verify(args) -> int:
     return 0 if passed == len(results) else 1
 
 
+# the argparse settings of each valued flag
+FLAGS = {
+    "--q": {"help": "odd prime power, 'p' or 'p^e'"},
+    "--r": {"type": int, "help": "2-torsion rank of the class group"},
+    "--gram": {"help": "Gram matrix, rows ';'-separated, entries ','-separated"},
+    "--diag": {"help": "diagonal form entries, ','-separated"},
+    "--word": {"help": "word of rank-one classes, e.g. '(1,01);(s,11)'"},
+}
+
+# subcommand -> (handler, the valued flags it reads); each flag is required,
+# and a tuple of flags is a required choice of exactly one of them
 COMMANDS = {
-    "field-info": cmd_field_info,
-    "wittk-table": cmd_wittk_table,
-    "form-diag": cmd_form_diag,
-    "form-witt": cmd_form_witt,
-    "curve-table": cmd_curve_table,
-    "curve-eval": cmd_curve_eval,
-    "curve-normal-form": cmd_curve_normal_form,
-    "verify": cmd_verify,
+    "field-info": (cmd_field_info, ["--q"]),
+    "wittk-table": (cmd_wittk_table, ["--q"]),
+    "form-diag": (cmd_form_diag, ["--q", "--gram"]),
+    "form-witt": (cmd_form_witt, ["--q", ("--diag", "--gram")]),
+    "curve-table": (cmd_curve_table, ["--q", "--r"]),
+    "curve-eval": (cmd_curve_eval, ["--q", "--r", "--word"]),
+    "curve-normal-form": (cmd_curve_normal_form, ["--q", "--r", "--word"]),
+    "verify": (cmd_verify, []),
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises each usage error as a CLIError, which main prints as one line."""
+
+    def error(self, message: str):
+        raise CLIError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wittcurve",
         description="Exact Witt ring arithmetic for curves over odd finite fields.",
     )
+    # subparsers are built with the parent's class, so they raise CLIError too
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=name.replace("-", " "))
-        p.add_argument("--q", help="odd prime power, 'p' or 'p^e'")
-        p.add_argument("--r", type=int, help="2-torsion rank of the class group")
-        p.add_argument("--gram", help="Gram matrix, rows ';'-separated, entries ','-separated")
-        p.add_argument("--diag", help="diagonal form entries, ','-separated")
-        p.add_argument("--word", help="word of rank-one classes, e.g. '(1,01);(s,11)'")
+        for flag in flags:
+            if isinstance(flag, tuple):
+                choice = p.add_mutually_exclusive_group(required=True)
+                for one in flag:
+                    choice.add_argument(one, **FLAGS[one])
+            else:
+                p.add_argument(flag, required=True, **FLAGS[flag])
         p.add_argument("--json", action="store_true", help="emit a JSON document")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        code = COMMANDS[args.command](args)
+        args = build_parser().parse_args(argv)
+        code = COMMANDS[args.command][0](args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
@@ -455,10 +470,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
-    except CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CLIError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Iterable, Literal, Sequence
 
 from .fields import SquareClass, minus_one_class
-from .pic2 import DEFAULT_ENUMERATION_BOUND, Pic2Group, PicElement
+from .pic2 import Pic2Group, PicElement
 
 _ONE, _NS = SquareClass.ONE, SquareClass.NONSQUARE
 
@@ -258,11 +258,9 @@ def signed_discriminant_class(a: WittClass) -> tuple[SquareClass, PicElement]:
     return (a.sigma * a.u, a.L)
 
 
-def enumerate_classes(
-    context: int, group: Pic2Group, bound: int = DEFAULT_ENUMERATION_BOUND
-) -> list[WittClass]:
+def enumerate_classes(context: int, group: Pic2Group) -> list[WittClass]:
     """All 4·2^r classes: the odd block (u = 1 then u = s), then the even block."""
-    bundles = group.enumerate(bound)
+    bundles = group.enumerate()
     ring = _ring(group.r, context, WittClass)  # validates the context
     return [
         _of_code(odd | u_bit << 1 | L.code << 2, ring)

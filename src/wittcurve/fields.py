@@ -18,7 +18,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-DEFAULT_CARDINALITY_BOUND = 1 << 20
+CARDINALITY_BOUND = 1 << 20
 
 # Largest q whose elements are cached as objects once elements() is called;
 # larger fields build each element on demand.
@@ -291,13 +291,14 @@ def _make_field_cached(p: int, e: int) -> FiniteField:
     raise AssertionError("no irreducible modulus found")  # unreachable: they exist for every (p, e)
 
 
-def make_field(p: int, e: int = 1, *, max_cardinality: int = DEFAULT_CARDINALITY_BOUND) -> FiniteField:
+def make_field(p: int, e: int = 1) -> FiniteField:
     """Construct F_{p^e} for an odd prime p.
 
     The modulus is the identity polynomial x for e = 1, and otherwise the
     first irreducible monic polynomial of degree e when the non-leading
     coefficient vectors are enumerated as base-p integers (constant
-    coefficient fastest).  The choice is deterministic across runs.
+    coefficient fastest).  The choice is deterministic across runs.  p^e
+    may not exceed CARDINALITY_BOUND, the domain every layer is built for.
     """
     if not isinstance(p, int) or not isinstance(e, int):
         raise TypeError("p and e must be integers")
@@ -305,8 +306,8 @@ def make_field(p: int, e: int = 1, *, max_cardinality: int = DEFAULT_CARDINALITY
         raise ValueError("characteristic 2 is not supported")
     # the bound goes before the trial division, which takes O(sqrt(p)); as
     # p >= 3, any e above the bound's bit length exceeds it without p**e
-    if p >= 3 and e >= 1 and (e > max_cardinality.bit_length() or p**e > max_cardinality):
-        raise ValueError(f"cardinality {p}^{e} exceeds the bound {max_cardinality}")
+    if p >= 3 and e >= 1 and (e > CARDINALITY_BOUND.bit_length() or p**e > CARDINALITY_BOUND):
+        raise ValueError(f"cardinality {p}^{e} exceeds the bound {CARDINALITY_BOUND}")
     if not _is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if e < 1:
@@ -396,11 +397,6 @@ def canonical_nonsquare(field: FiniteField) -> FieldElement:
                 field._nonsquare = x
                 break
     return field._nonsquare
-
-
-def residue_class_mod4(field: FiniteField) -> int:
-    """q mod 4, which is 1 exactly when -1 is a square."""
-    return field.q % 4
 
 
 def minus_one_class(context: int) -> SquareClass:

@@ -36,8 +36,8 @@ if TYPE_CHECKING:
 
 _ONE, _NS = SquareClass.ONE, SquareClass.NONSQUARE
 
+# the largest r whose whole ring, 4^(2^r) elements, the brute force covers
 CLOSURE_RANK_BOUND = 3
-FULL_RING_RANK_BOUND = 3
 
 _new = object.__new__
 
@@ -327,8 +327,8 @@ def normal_form(f: GroupRingElement) -> WittClass:
 
 def all_elements(context: int, group: Pic2Group) -> list[GroupRingElement]:
     """Every ring element; index in the list equals its packed base-4 code."""
-    if group.r > FULL_RING_RANK_BOUND:
-        raise ValueError(f"full ring enumeration needs r <= {FULL_RING_RANK_BOUND}, got {group.r}")
+    if group.r > CLOSURE_RANK_BOUND:
+        raise ValueError(f"full ring enumeration needs r <= {CLOSURE_RANK_BOUND}, got {group.r}")
     _, _, _, by_code = _code_tables(context)
     out = []
     for packed in range(4**group.n):

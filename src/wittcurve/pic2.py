@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-DEFAULT_ENUMERATION_BOUND = 20
+ENUMERATION_BOUND = 20
 
 
 class PicElement:
@@ -86,10 +86,10 @@ class Pic2Group:
             code = (code << 1) | b
         return PicElement(self.r, code)
 
-    def enumerate(self, bound: int = DEFAULT_ENUMERATION_BOUND) -> list[PicElement]:
+    def enumerate(self) -> list[PicElement]:
         """All 2^r elements in lexicographic bit order, identity first."""
-        if self.r > bound:
-            raise ValueError(f"rank {self.r} exceeds enumeration bound {bound}")
+        if self.r > ENUMERATION_BOUND:
+            raise ValueError(f"rank {self.r} exceeds enumeration bound {ENUMERATION_BOUND}")
         return [PicElement(self.r, code) for code in range(self.n)]
 
     def __iter__(self) -> Iterator[PicElement]:

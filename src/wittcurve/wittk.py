@@ -19,16 +19,8 @@ code only on odd classes when q = 3 mod 4, where disc = sigma * u.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .curve import WittClass, _ring
-from .fields import (
-    FiniteField,
-    SquareClass,
-    canonical_nonsquare,
-    make_field,
-    residue_class_mod4,
-)
+from .fields import FiniteField, SquareClass, canonical_nonsquare
 from .forms import DiagonalForm, signed_discriminant, witt_decompose, witt_equal
 
 _ONE, _NS = SquareClass.ONE, SquareClass.NONSQUARE
@@ -40,8 +32,6 @@ _NAMES = ("0", "<1>", "E", "<s>")
 
 def _values(context: int) -> list["WittK"]:
     """The four interned values of a context, indexed by code."""
-    if context not in (1, 3):
-        raise ValueError(f"context must be q mod 4, one of 1 or 3, got {context}")
     return _ring(0, context, WittK).classes
 
 
@@ -123,8 +113,8 @@ class WittK(WittClass):
 
     def to_form(self, field: FiniteField) -> DiagonalForm:
         """A concrete representative over a field with the matching residue."""
-        if residue_class_mod4(field) != self.context:
-            raise ValueError(f"{field!r} has residue {residue_class_mod4(field)}, not {self.context}")
+        if field.q % 4 != self.context:
+            raise ValueError(f"{field!r} has residue {field.q % 4}, not {self.context}")
         s = canonical_nonsquare(field)
         return DiagonalForm(
             field, tuple(field.one if c is _ONE else s for c in self.unit_diagonal())
@@ -157,25 +147,19 @@ class WittK(WittClass):
 
 def from_concrete_form(f: DiagonalForm) -> WittK:
     """The W(k) class of a concrete nondegenerate diagonal form."""
-    ring = _ring(0, residue_class_mod4(f.field), WittK)
+    ring = _ring(0, f.field.q % 4, WittK)
     odd = f.rank & 1
     code = odd | (signed_discriminant(f) is _NS) << 1
     return ring.classes[code ^ ring.flip if odd else code]
 
 
-_DEFAULT_SAMPLE = {1: (5, 1), 3: (3, 1)}
-
-
-def verify_bullets(context: int, field: Optional[FiniteField] = None) -> list[tuple[str, bool, str]]:
-    """Check the four W(k) identities through concrete forms.
+def verify_bullets(field: FiniteField) -> list[tuple[str, bool, str]]:
+    """Check the four W(k) identities through concrete forms over field.
 
     Returns (name, passed, detail) triples.  The identity whose residue
-    premise does not match the context is reported as vacuously true.
+    premise does not match q mod 4 is reported as vacuously true.
     """
-    if field is None:
-        field = make_field(*_DEFAULT_SAMPLE[context])
-    if residue_class_mod4(field) != context:
-        raise ValueError(f"{field!r} does not have residue {context} mod 4")
+    context = field.q % 4
     one = field.one
     s = canonical_nonsquare(field)
 

@@ -131,7 +131,8 @@ def test_form_witt_gram_input(capsys):
     assert code == 0
     assert data["hyperbolic_count"] == 1 and data["witt_class"] == "0"
     code, _, err = run(capsys, "form-witt", "--q", "7")
-    assert code == 2 and "--diag or --gram" in err
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+    assert "--diag" in err and "--gram" in err
 
 
 def test_form_witt_invariants_agree_with_library(capsys):
@@ -315,3 +316,68 @@ def test_closed_stdout_exits_without_traceback():
     assert proc.returncode == 1
     assert b"Traceback" not in proc.stderr
     assert proc.stderr == b""
+
+
+USAGE_ERRORS = [
+    [],
+    ["bogus"],
+    ["form-witt", "--q", "7", "--diag", "1", "--max-search", "5"],
+    ["curve-eval", "--q", "7", "--r", "x", "--word", "(1,)"],
+    ["field-info"],
+    ["form-witt", "--q", "5"],
+    ["form-witt", "--q", "5", "--diag", "1", "--gram", "1,2;2,1"],
+]
+
+
+def test_usage_errors_are_one_line(capsys):
+    for argv in USAGE_ERRORS:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), (argv, err)
+
+
+def test_usage_error_prints_no_usage_block_and_help_exits_zero():
+    env = dict(os.environ, PYTHONPATH=str(Path(wittcurve.__file__).parents[1]))
+    cli = [sys.executable, "-m", "wittcurve.cli"]
+    argv = ["form-witt", "--q", "7", "--diag", "1", "--max-search", "5"]
+    proc = subprocess.run(cli + argv, capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: unrecognized arguments: --max-search 5\n"
+    proc = subprocess.run(cli + ["--help"], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert "form-witt" in proc.stdout
+
+
+# a valid invocation of each subcommand, and the valued flags it reads
+VALID = {
+    "field-info": (["--q", "7"], {"--q"}),
+    "wittk-table": (["--q", "5"], {"--q"}),
+    "form-diag": (["--q", "7", "--gram", "0,1;1,0"], {"--q", "--gram"}),
+    "form-witt": (["--q", "7", "--diag", "1,2"], {"--q", "--diag", "--gram"}),
+    "curve-table": (["--q", "7", "--r", "1"], {"--q", "--r"}),
+    "curve-eval": (["--q", "7", "--r", "1", "--word", "(1,0)"], {"--q", "--r", "--word"}),
+    "curve-normal-form": (["--q", "7", "--r", "1", "--word", "(1,0)"], {"--q", "--r", "--word"}),
+    "verify": ([], set()),
+}
+FLAG_VALUES = {"--q": "7", "--r": "1", "--gram": "0,1;1,0", "--diag": "1,2", "--word": "(1,0)"}
+
+
+def test_each_subcommand_refuses_the_flags_of_the_others(monkeypatch, capsys):
+    import wittcurve.verify as verify
+
+    def battery():
+        raise AssertionError("verify ran its battery despite a usage error")
+
+    monkeypatch.setattr(verify, "run_all", battery)
+    refused = 0
+    for sub, (argv, reads) in VALID.items():
+        if sub != "verify":
+            assert run(capsys, sub, *argv)[0] == 0, sub
+        for flag, value in FLAG_VALUES.items():
+            if flag in reads:
+                continue
+            code, out, err = run(capsys, sub, *argv, flag, value)
+            assert code == 2 and out == "", (sub, flag)
+            assert err == f"error: unrecognized arguments: {flag} {value}\n", (sub, flag)
+            refused += 1
+    assert refused == 8 * 5 - 15

@@ -13,14 +13,13 @@ from sympy.ntheory.residue_ntheory import is_quad_residue
 from sympy.polys.galoistools import gf_irreducible_p
 
 from wittcurve.fields import (
-    DEFAULT_CARDINALITY_BOUND,
+    CARDINALITY_BOUND,
     FiniteField,
     SquareClass,
     canonical_nonsquare,
     is_square,
     make_field,
     minus_one_class,
-    residue_class_mod4,
     square_class,
     square_root,
 )
@@ -49,17 +48,24 @@ def test_make_field_rejects_bad_input():
     with pytest.raises(ValueError):
         make_field(7, 0)
     with pytest.raises(ValueError):
-        make_field(3, 20, max_cardinality=1000)
+        make_field(3, 13)
     with pytest.raises(ValueError):
         make_field(1031, 2)  # 1031^2 > 2^20
     with pytest.raises(TypeError):
         make_field(7.0)
-    assert DEFAULT_CARDINALITY_BOUND == 1 << 20
+    assert CARDINALITY_BOUND == 1 << 20
 
 
 def test_make_field_is_cached():
     assert make_field(5, 2) is make_field(5, 2)
-    assert make_field(5, 2, max_cardinality=10**9) is make_field(5, 2)
+
+
+def test_cardinality_bound():
+    # 3^12 = 531441 and the prime 2^20 - 3 lie inside the bound, 3^13 = 1594323 does not
+    assert make_field(3, 12).q == 531441
+    with pytest.raises(ValueError, match="cardinality 3\\^13 exceeds the bound 1048576"):
+        make_field(3, 13)
+    assert make_field(1048573).q == 1048573
 
 
 def test_frozen_moduli():
@@ -312,18 +318,17 @@ def test_square_class_group():
 
 
 def test_residue_class_mod4():
-    assert residue_class_mod4(make_field(5)) == 1
-    assert residue_class_mod4(make_field(3, 2)) == 1
-    assert residue_class_mod4(make_field(13)) == 1
-    assert residue_class_mod4(make_field(3)) == 3
-    assert residue_class_mod4(make_field(7)) == 3
-    assert residue_class_mod4(make_field(3, 3)) == 3
+    # q = 1 mod 4 exactly when -1 is a square, found by squaring every element
+    for (p, e), residue in [((5, 1), 1), ((3, 2), 1), ((13, 1), 1), ((3, 1), 3), ((7, 1), 3), ((3, 3), 3)]:
+        f = make_field(p, e)
+        assert f.q % 4 == residue
+        assert any(x * x == f.element(-1) for x in f.elements()) == (residue == 1)
 
 
 def test_minus_one_class_matches_fields():
     for p, e in SMALL_FIELDS:
         f = make_field(p, e)
-        assert minus_one_class(residue_class_mod4(f)) is square_class(f.element(-1))
+        assert minus_one_class(f.q % 4) is square_class(f.element(-1))
     with pytest.raises(ValueError):
         minus_one_class(2)
 

@@ -62,9 +62,6 @@ def test_enumerate_order_and_bound():
     assert len(Pic2Group(1).enumerate()) == 2
     with pytest.raises(ValueError):
         Pic2Group(21).enumerate()
-    with pytest.raises(ValueError):
-        Pic2Group(3).enumerate(bound=2)
-    assert len(Pic2Group(3).enumerate(bound=3)) == 8
     assert list(Pic2Group(2)) == Pic2Group(2).enumerate()
 
 

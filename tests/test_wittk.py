@@ -251,13 +251,10 @@ def test_unit_diagonal():
 
 
 def test_verify_bullets():
-    for ctx in (1, 3):
-        report = verify_bullets(ctx)
+    for p in (5, 3):
+        report = verify_bullets(make_field(p))
         assert len(report) == 4
         assert all(passed for _, passed, _ in report)
     for p, e in [(5, 1), (7, 1), (3, 2)]:
-        field = make_field(p, e)
-        report = verify_bullets(field.q % 4, field)
+        report = verify_bullets(make_field(p, e))
         assert all(passed for _, passed, _ in report)
-    with pytest.raises(ValueError):
-        verify_bullets(1, make_field(7))
