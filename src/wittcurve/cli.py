@@ -100,7 +100,7 @@ def _parse_entry(field: FiniteField, text: str) -> FieldElement:
         if text.startswith("("):
             if not text.endswith(")"):
                 raise ValueError
-            coeffs = [int(c) for c in text[1:-1].split(",") if c.strip()]
+            coeffs = [int(c) for c in text[1:-1].split(",")]
             return field.element(coeffs)
         return field.element(int(text))
     except ValueError:
@@ -112,7 +112,7 @@ def _parse_gram(field: FiniteField, text: str) -> GramForm:
 
     rows = []
     for row_text in _split_top(text, ";"):
-        row = [_parse_entry(field, cell) for cell in _split_top(row_text, ",") if cell.strip()]
+        row = [_parse_entry(field, cell) for cell in _split_top(row_text, ",")]
         rows.append(tuple(row))
     try:
         return GramForm(field, tuple(rows))
@@ -123,7 +123,9 @@ def _parse_gram(field: FiniteField, text: str) -> GramForm:
 def _parse_diag(field: FiniteField, text: str) -> DiagonalForm:
     from .forms import DiagonalForm
 
-    entries = [_parse_entry(field, cell) for cell in _split_top(text, ",") if cell.strip()]
+    # an empty text is the rank-0 form; an empty cell is a bad entry
+    cells = _split_top(text, ",") if text.strip() else []
+    entries = [_parse_entry(field, cell) for cell in cells]
     try:
         return DiagonalForm(field, tuple(entries))
     except ValueError as exc:

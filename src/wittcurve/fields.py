@@ -335,6 +335,28 @@ def is_square(x: FieldElement) -> bool:
     return known == 1
 
 
+def square_class_bits(xs: Sequence[FieldElement]) -> list[int]:
+    """Square-class bits of nonzero elements of one field: 0 square, 1 not.
+
+    Reads is_square's memo once for the whole sequence and asks is_square
+    only for the elements it has not classified yet; zero raises as there.
+    """
+    if not xs:
+        return []
+    field = xs[0].field
+    memo = field._squares
+    if memo is None:
+        memo = field._squares = bytearray(field.q)
+    prime = field.e == 1
+    bits = []
+    for x in xs:
+        known = memo[x.coeffs[0] if prime else x.index]
+        if not known:
+            known = 1 if is_square(x) else 2
+        bits.append(known - 1)
+    return bits
+
+
 def square_root(x: FieldElement) -> FieldElement:
     """The square root of x with the smaller element index; zero for zero.
 

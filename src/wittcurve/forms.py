@@ -6,15 +6,22 @@ DiagonalForm wraps a nondegenerate diagonal <a_1,...,a_n>.  diagonalize
 bridges the two with a deterministic congruence reduction and reports the
 radical dimension when the input is degenerate.
 
+Over F_q a diagonal form's Witt class depends only on its entries' square
+classes, so the invariants and the splitter work on square-class bits (0
+square, 1 nonsquare), read once per form through fields.square_class_bits.
+
 Witt decomposition peels hyperbolic planes off a diagonal form until the
 anisotropic kernel remains (rank <= 2 over a finite field).  The splitter
-first cancels any entry pair <a, b> with -ab a square (such a pair is
-already a hyperbolic plane).  When no pair cancels and rank >= 3, it uses
-the classical fact that rank and determinant class classify forms over F_q:
-the leading <a, b, c> is isometric to H ⊥ <-abc>, so no vector is searched
-for.  That split runs only when q = 3 mod 4 and every remaining entry has
-one square class: when q = 1 mod 4, two of any three entries share a class
-and cancel as a pair.
+first cancels any entry pair <a, b> with -ab a square, that is, whose bits
+differ by sigma, the bit of -1 (such a pair is already a hyperbolic
+plane).  When no pair cancels and rank >= 3, it uses the classical fact
+that rank and determinant class classify forms over F_q: the leading
+<a, b, c> is isometric to H ⊥ <-abc>, so no vector is searched for.  That
+split runs only when q = 3 mod 4 and every remaining entry has one square
+class: when q = 1 mod 4, two of any three entries share a class and cancel
+as a pair.  The entries follow the bits only when a kernel is asked for:
+witt_equal(f, g) splits the bits of f ⊥ -g, f's followed by g's flipped by
+sigma, builds no form, and answers whether no bits remain.
 
 The isotropy scan, find_isotropic_vector, solves its last coordinate from a
 square test and a square root instead of trying every value, so any scan
@@ -30,6 +37,7 @@ from .fields import (
     FiniteField,
     SquareClass,
     is_square,
+    square_class_bits,
     square_root,
 )
 
@@ -169,7 +177,7 @@ def _same_field(f, g) -> None:
 def _discriminant(f: DiagonalForm, signed: bool) -> SquareClass:
     # the determinant's class is the parity of the nonsquare entries; the
     # sign (-1)^(n(n+1)/2) adds one more nonsquare exactly when q = 3 mod 4
-    odd = sum(1 for a in f.entries if not is_square(a)) & 1
+    odd = sum(square_class_bits(f.entries)) & 1
     n = f.rank
     if signed and f.field.q % 4 == 3 and (n * (n + 1) // 2) % 2:
         odd ^= 1
@@ -291,6 +299,41 @@ def find_isotropic_vector(f: DiagonalForm) -> Optional[tuple[FieldElement, ...]]
     return None
 
 
+def _split(cls: list[int], sigma: int, entries: Optional[list[FieldElement]] = None) -> int:
+    """Peel hyperbolic planes off the square-class bits cls, in place.
+
+    Returns the number of planes; cls keeps the kernel's bits, and entries,
+    when given, the kernel's entries.  -ab is a square exactly when the bits
+    of a and b differ by sigma, the bit of -1.
+    """
+    hyper = 0
+    while True:
+        # cancel pairs that already form hyperbolic planes, first pair in
+        # row-major order each round
+        cancelled = True
+        while cancelled:
+            cancelled = False
+            for i in range(len(cls)):
+                for j in range(i + 1, len(cls)):
+                    if cls[i] ^ cls[j] == sigma:
+                        del cls[j], cls[i]
+                        if entries is not None:
+                            del entries[j], entries[i]
+                        hyper += 1
+                        cancelled = True
+                        break
+                if cancelled:
+                    break
+        if len(cls) < 3:
+            return hyper
+        # <a, b, c> = H ⊥ <d>, and the determinant fixes d's class: d = -abc
+        if entries is not None:
+            a, b, c = entries[:3]
+            entries[:3] = [-(a * b * c)]
+        cls[:3] = [sigma ^ cls[0] ^ cls[1] ^ cls[2]]
+        hyper += 1
+
+
 def witt_decompose(f: DiagonalForm) -> tuple[int, DiagonalForm]:
     """Witt decomposition: (number of hyperbolic planes, anisotropic kernel).
 
@@ -300,43 +343,29 @@ def witt_decompose(f: DiagonalForm) -> tuple[int, DiagonalForm]:
     """
     field = f.field
     entries = list(f.entries)
-    # square-class bits beside the entries: -ab is a square exactly when the
-    # bits of a and b differ by the bit of -1
-    cls = [0 if is_square(a) else 1 for a in entries]
-    sigma = 1 if field.q % 4 == 3 else 0
-    hyper = 0
-    while True:
-        # cancel pairs that already form hyperbolic planes, first pair in
-        # row-major order each round
-        cancelled = True
-        while cancelled:
-            cancelled = False
-            for i in range(len(entries)):
-                for j in range(i + 1, len(entries)):
-                    if cls[i] ^ cls[j] == sigma:
-                        del entries[j], entries[i], cls[j], cls[i]
-                        hyper += 1
-                        cancelled = True
-                        break
-                if cancelled:
-                    break
-        if len(entries) < 3:
-            break
-        # <a, b, c> = H ⊥ <d>, and the determinant fixes d's class: d = -abc
-        a, b, c = entries[:3]
-        entries = [-(a * b * c)] + entries[3:]
-        cls = [sigma ^ cls[0] ^ cls[1] ^ cls[2]] + cls[3:]
-        hyper += 1
+    sigma = 1 if field.q % 4 == 3 else 0  # the square-class bit of -1
+    hyper = _split(square_class_bits(entries), sigma, entries)
     kernel = _diagonal(field, tuple(entries))
     assert 2 * hyper + kernel.rank == f.rank
     return hyper, kernel
 
 
 def witt_equal(f: DiagonalForm, g: DiagonalForm) -> bool:
-    """Whether f and g represent the same Witt class: f ⊥ -g is hyperbolic."""
+    """Whether f and g represent the same Witt class: f ⊥ -g is hyperbolic.
+
+    Decided on square-class bits: the bits of f ⊥ -g are f's followed by g's
+    flipped by sigma, the bit of -1; they go through witt_decompose's
+    splitter, and f and g are equal when no bits remain.  No form is built
+    and no entry is negated.
+    """
     _same_field(f, g)
-    _, kernel = witt_decompose(orthogonal_sum(f, g.negate()))
-    return kernel.rank == 0
+    sigma = 1 if f.field.q % 4 == 3 else 0  # the square-class bit of -1
+    cls = square_class_bits(f.entries + g.entries)
+    if sigma:  # -g's bits are g's flipped
+        n = f.rank
+        cls[n:] = [b ^ 1 for b in cls[n:]]
+    _split(cls, sigma)
+    return not cls
 
 
 def isometric_by_invariants(f: DiagonalForm, g: DiagonalForm) -> bool:

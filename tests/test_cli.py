@@ -115,6 +115,27 @@ def test_form_diag_degenerate_and_malformed(capsys):
     assert code == 2 and err.startswith("error:")
 
 
+def test_empty_cells_are_malformed(capsys):
+    for argv in (
+        ("form-diag", "--q", "7", "--gram", "1,,0;0,1"),
+        ("form-diag", "--q", "7", "--gram", "1,0;0,1;"),
+        ("form-witt", "--q", "7", "--diag", "1,"),
+        ("form-witt", "--q", "7", "--diag", ",1"),
+        ("form-witt", "--q", "9", "--diag", "(1,,2)"),
+        ("form-witt", "--q", "9", "--diag", "()"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert len(err.splitlines()) == 1 and err.startswith("error: bad field entry "), (argv, err)
+
+
+def test_empty_diag_is_the_rank_zero_form(capsys):
+    code, data, _ = run_json(capsys, "form-witt", "--q", "7", "--diag", "")
+    assert code == 0
+    assert data["hyperbolic_count"] == 0 and data["anisotropic_kernel"] == []
+    assert data["witt_class"] == "0"
+
+
 def test_form_witt_hyperbolic(capsys):
     # det <1,2,3,4> = 24 = 4, a square mod 5; rank 4 gives an even sign
     # exponent, so the signed discriminant is trivial and the class is zero

@@ -21,6 +21,7 @@ from wittcurve.fields import (
     make_field,
     minus_one_class,
     square_class,
+    square_class_bits,
     square_root,
 )
 
@@ -221,6 +222,27 @@ def test_is_square_memo_independent_of_query_order():
             for i in order:
                 x = field.element_from_index(i)
                 assert is_square(x) == (x in squares), (field, i)
+
+
+def test_square_class_bits_on_cold_half_and_full_memo():
+    # the bits agree with the exhaustive square set whether the memo is
+    # absent, holds every other element, or holds them all, and zero raises
+    rng = random.Random(11)
+    for p, e in [(7, 1), (13, 1), (3, 2), (5, 2)]:
+        field = FiniteField(p, e, make_field(p, e).modulus)
+        squares = {x * x for x in field.nonzero_elements()}
+        xs = list(field.nonzero_elements())
+        xs = xs + rng.choices(xs, k=20)
+        want = [0 if x in squares else 1 for x in xs]
+        assert square_class_bits(xs) == want  # the memo starts absent
+        field._squares = None
+        for x in xs[::2]:
+            is_square(x)
+        assert square_class_bits(xs) == want
+        assert square_class_bits(tuple(xs)) == want
+        assert square_class_bits(()) == []
+        with pytest.raises(ValueError, match="zero has no square class"):
+            square_class_bits([field.one, field.zero])
 
 
 def test_is_square_rejects_zero_with_memo_empty_and_full():

@@ -11,7 +11,8 @@ import random
 
 import pytest
 
-from wittcurve.fields import SquareClass, make_field, square_class
+import wittcurve.forms as forms
+from wittcurve.fields import FieldElement, SquareClass, canonical_nonsquare, is_square, make_field, square_class
 from wittcurve.forms import (
     DegenerateFormError,
     DiagonalForm,
@@ -585,3 +586,113 @@ def test_completeness_catches_one_wrong_answer(monkeypatch, name):
     monkeypatch.setattr(verify, name, wrong)
     failed = [r.name for r in verify.field_invariant_completeness() if not r.passed]
     assert failed == ["forms match their square-class pattern over F_11"]
+
+
+def test_witt_equal_matches_isometry_after_padding_by_planes():
+    # independent of the splitter: forms of equal rank parity are Witt
+    # equivalent exactly when f ⊥ H^a and g ⊥ H^b of one rank are isometric,
+    # decided by the basis search; over F_3 also one plane beyond the least
+    # common rank (the search takes seconds per pair at rank 4, or at rank 3
+    # over F_5)
+    checked = 0
+    for p in (3, 5):
+        field = make_field(p)
+        H = hyperbolic_plane(field)
+
+        def padded(form, n):
+            while form.rank < n:
+                form = orthogonal_sum(form, H)
+            return form
+
+        small = [df(field, *tup) for n in range(3) for tup in itertools.product(range(1, p), repeat=n)]
+        for f in small:
+            for g in small:
+                if (f.rank - g.rank) % 2:
+                    assert not witt_equal(f, g), (f, g)
+                    continue
+                least = max(f.rank, g.rank)
+                for n in (least, least + 2) if p == 3 and least < 2 else (least,):
+                    assert witt_equal(f, g) == _isometric_by_search(padded(f, n), padded(g, n)), (f, g, n)
+                    checked += 1
+    assert checked == 339
+
+
+def _reference_decompose(f):
+    """witt_decompose as it was before it shared its splitter with
+    witt_equal: entries and their square-class bits in step."""
+    field = f.field
+    entries = list(f.entries)
+    cls = [0 if is_square(a) else 1 for a in entries]
+    sigma = 1 if field.q % 4 == 3 else 0
+    hyper = 0
+    while True:
+        cancelled = True
+        while cancelled:
+            cancelled = False
+            for i in range(len(entries)):
+                for j in range(i + 1, len(entries)):
+                    if cls[i] ^ cls[j] == sigma:
+                        del entries[j], entries[i], cls[j], cls[i]
+                        hyper += 1
+                        cancelled = True
+                        break
+                if cancelled:
+                    break
+        if len(entries) < 3:
+            break
+        a, b, c = entries[:3]
+        entries = [-(a * b * c)] + entries[3:]
+        cls = [sigma ^ cls[0] ^ cls[1] ^ cls[2]] + cls[3:]
+        hyper += 1
+    return hyper, DiagonalForm(field, tuple(entries))
+
+
+def _reference_witt_equal(f, g):
+    """witt_equal as it was: decompose f ⊥ -g and test for an empty kernel."""
+    return _reference_decompose(orthogonal_sum(f, g.negate()))[1].rank == 0
+
+
+@pytest.mark.parametrize("p, e", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_witt_decompose_matches_reference_exhaustively(p, e):
+    # same planes and the same kernel, entries and order included, for every
+    # entry tuple of rank <= 5
+    field = make_field(p, e)
+    nonzero = list(field.nonzero_elements())
+    for n in range(6):
+        for tup in itertools.product(nonzero, repeat=n):
+            form = DiagonalForm(field, tup)
+            assert witt_decompose(form) == _reference_decompose(form), form
+
+
+@pytest.mark.parametrize("p, e", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_witt_equal_matches_reference_on_patterns(p, e):
+    # every pair of {1, s} patterns whose sum f ⊥ -g has rank <= 8
+    field = make_field(p, e)
+    values = (field.one, canonical_nonsquare(field))
+    patterns = [DiagonalForm(field, tup) for n in range(9) for tup in itertools.product(values, repeat=n)]
+    for f in patterns:
+        for g in patterns:
+            if f.rank + g.rank <= 8:
+                assert witt_equal(f, g) == _reference_witt_equal(f, g), (f, g)
+
+
+def test_witt_equal_negates_nothing_and_builds_no_form(monkeypatch):
+    cases = []
+    for p, e in ((5, 1), (13, 1), (7, 1), (3, 3), (3, 2)):
+        field = make_field(p, e)
+        nonzero = list(field.nonzero_elements())
+        rng = random.Random(p * 10 + e)
+        for _ in range(40):
+            f = DiagonalForm(field, tuple(rng.choice(nonzero) for _ in range(rng.randrange(5))))
+            g = DiagonalForm(field, tuple(rng.choice(nonzero) for _ in range(rng.randrange(5))))
+            cases.append((f, g, witt_invariants(f) == witt_invariants(g)))
+    assert {want for *_, want in cases} == {True, False}
+
+    def refuse(*args):
+        raise AssertionError("witt_equal negated an entry or built a form")
+
+    monkeypatch.setattr(FieldElement, "__neg__", refuse)
+    monkeypatch.setattr(forms, "_diagonal", refuse)
+    monkeypatch.setattr(DiagonalForm, "__init__", refuse)
+    for f, g, want in cases:
+        assert witt_equal(f, g) == want, (f, g)
